@@ -11,8 +11,33 @@ using nfs::Fh;
 using nfs::NfsStat;
 using nfs::Proc;
 
+namespace {
+
+// Max WRITE calls per pipelined burst while pushing a file's queued extents.
+constexpr std::size_t kFlushBurst = 32;
+// Verifier-mismatch re-send attempts per file before giving up.
+constexpr u32 kFlushMaxAttempts = 3;
+// Conflict back-off between LEASE_ACQUIRE retries (the server answered
+// granted=false while it recalls the current holder). The retry horizon
+// (delay * max_retries) must outlast the server's lease_duration so a
+// partitioned holder lapses before the contender gives up.
+constexpr SimDuration kLeaseRetryDelay = 500 * kMillisecond;
+constexpr u32 kLeaseMaxRetries = 128;
+
+rpc::MessagePtr write_args(const Fh& fh, const DirtyLog::Extent& x, nfs::StableHow how) {
+  auto a = std::make_shared<nfs::WriteArgs>();
+  a->fh = fh;
+  a->offset = x.offset;
+  a->count = static_cast<u32>(x.size());
+  a->stable = how;
+  a->data = x.data;
+  return a;
+}
+
+}  // namespace
+
 GvfsProxy::GvfsProxy(ProxyConfig cfg, rpc::RpcChannel& upstream)
-    : cfg_(std::move(cfg)), upstream_(upstream) {}
+    : cfg_(std::move(cfg)), upstream_(upstream), log_(cfg_.fetch_block) {}
 
 void GvfsProxy::attach_block_cache(cache::ProxyDiskCache& c) {
   block_cache_ = &c;
@@ -64,9 +89,8 @@ void GvfsProxy::reset_stats() {
 
 // ------------------------------------------------------- upstream helpers --
 
-Result<rpc::MessagePtr> GvfsProxy::upstream_call_(sim::Process& p, Proc proc,
-                                                  rpc::MessagePtr args,
-                                                  const rpc::Credential& cred) {
+rpc::RpcCall GvfsProxy::nfs_call_(Proc proc, rpc::MessagePtr args,
+                                  const rpc::Credential& cred) {
   rpc::RpcCall c;
   c.xid = next_xid_++;
   c.prog = rpc::kNfsProgram;
@@ -74,13 +98,20 @@ Result<rpc::MessagePtr> GvfsProxy::upstream_call_(sim::Process& p, Proc proc,
   c.proc = static_cast<u32>(proc);
   c.cred = cred;
   c.args = std::move(args);
+  return c;
+}
+
+Result<rpc::MessagePtr> GvfsProxy::upstream_call_(sim::Process& p, Proc proc,
+                                                  rpc::MessagePtr args,
+                                                  const rpc::Credential& cred) {
   calls_forwarded_.inc();
-  rpc::RpcReply reply = upstream_.call(p, c);
+  rpc::RpcReply reply = upstream_.call(p, nfs_call_(proc, std::move(args), cred));
   if (!reply.status.is_ok()) {
     if (reply.status.code() == ErrCode::kTimeout) note_upstream_timeout_(p.now());
     return reply.status;
   }
-  note_upstream_ok_(p);
+  // First success after an outage: reconnect, replaying what was parked.
+  if (upstream_down_) (void)replay_parked_(p);
   return reply.result;
 }
 
@@ -103,8 +134,8 @@ rpc::RpcReply GvfsProxy::forward_(sim::Process& p, const rpc::RpcCall& call) {
   rpc::RpcReply reply = upstream_.call(p, fwd);
   if (reply.status.code() == ErrCode::kTimeout) {
     note_upstream_timeout_(p.now());
-  } else if (reply.status.is_ok()) {
-    note_upstream_ok_(p);
+  } else if (reply.status.is_ok() && upstream_down_) {
+    (void)replay_parked_(p);
   }
   reply.xid = call.xid;
   return reply;
@@ -222,25 +253,18 @@ Result<blob::BlobRef> GvfsProxy::get_block_(sim::Process& p, const Fh& fh, u64 b
     if (tracer_) tracer_->annotate(&p, cfg_.name, "block_cache_hit", p.now());
     return *hit;
   }
-  if (cfg_.async_writeback) {
-    // A dirty block evicted into the flush queue holds newer data than the
-    // server until the flusher lands it; fetching upstream would read stale
-    // bytes. Serve the queued data directly.
-    if (auto pending = flush_pending_block_(fh.key(), block)) {
-      flush_queue_reads_.inc();
-      if (upstream_down_) degraded_reads_.inc();
-      if (tracer_) tracer_->annotate(&p, cfg_.name, "flush_queue_read", p.now());
-      return *pending;
+  if (auto logged = log_.newest(fh.key(), block)) {
+    // Bytes that left the cache dirty are newer than the server's until
+    // they land — queued or in flight for the flusher, or parked for replay
+    // (only ever while the upstream is down). Fetching would read stale
+    // bytes; serve the logged ones.
+    if (logged->staged) flush_queue_reads_.inc();
+    if (upstream_down_) degraded_reads_.inc();
+    if (tracer_) {
+      tracer_->annotate(&p, cfg_.name,
+                        logged->staged ? "flush_queue_read" : "degraded_read", p.now());
     }
-  }
-  if (upstream_down_) {
-    // A dirty block may have been evicted into the write queue; its data
-    // must stay readable while the upstream is unreachable.
-    if (auto queued = queued_block_(fh.key(), block)) {
-      degraded_reads_.inc();
-      if (tracer_) tracer_->annotate(&p, cfg_.name, "degraded_read", p.now());
-      return *queued;
-    }
+    return logged->data;
   }
   if (tracer_) tracer_->annotate(&p, cfg_.name, "block_cache_miss", p.now());
 
@@ -319,18 +343,12 @@ Result<blob::BlobRef> GvfsProxy::fetch_block_upstream_(sim::Process& p, const Fh
   if (rres->attr.attr) remember_attr_(fh, *rres->attr.attr, p.now());
   blob::BlobRef data = rres->count > 0 ? rres->data : blob::zero_ref(0);
   // The RPC wait is a scheduling point: a concurrent write + eviction can
-  // have parked newer bytes for this block while the READ was in flight.
+  // have logged newer bytes for this block while the READ was in flight.
   // Serve those (and keep the server's stale copy out of the cache, where it
   // would shadow them on the next read).
-  if (cfg_.async_writeback) {
-    if (auto pending = flush_pending_block_(id.file_key, block)) {
-      flush_queue_reads_.inc();
-      return *pending;
-    }
-  }
-  if (block_has_queued_write_(id.file_key, block)) {
-    if (auto queued = queued_block_(id.file_key, block)) return *queued;
-    return data;
+  if (auto logged = log_.newest(id.file_key, block)) {
+    if (logged->staged) flush_queue_reads_.inc();
+    return logged->data;
   }
   if (rres->count > 0) {
     GVFS_RETURN_IF_ERROR(block_cache_->insert(p, id, data, /*dirty=*/false));
@@ -367,23 +385,15 @@ void GvfsProxy::maybe_prefetch_(sim::Process& p, const nfs::Fh& fh, u64 block,
     u64 start = b * cfg_.fetch_block;
     if (start >= file_size) break;
     if (block_cache_->contains(cache::BlockId{fh.key(), b})) continue;
-    // A dirty copy parked in the flush queue (or the degraded replay queue)
-    // is newer than the server's bytes; inserting a prefetched copy as clean
-    // would shadow it — get_block_ consults the cache first.
-    if (cfg_.async_writeback && flush_pending_block_(fh.key(), b)) continue;
-    if (block_has_queued_write_(fh.key(), b)) continue;
+    // Logged dirty bytes (queued, in flight or parked) are newer than the
+    // server's; inserting a prefetched copy as clean would shadow them —
+    // get_block_ consults the cache first.
+    if (log_.overlaps(fh.key(), b)) continue;
     auto args = std::make_shared<nfs::ReadArgs>();
     args->fh = fh;
     args->offset = start;
     args->count = cfg_.fetch_block;
-    rpc::RpcCall c;
-    c.xid = next_xid_++;
-    c.prog = rpc::kNfsProgram;
-    c.vers = rpc::kNfsVersion3;
-    c.proc = static_cast<u32>(Proc::kRead);
-    c.cred = cred;
-    c.args = std::move(args);
-    calls.push_back(std::move(c));
+    calls.push_back(nfs_call_(Proc::kRead, std::move(args), cred));
     blocks.push_back(b);
   }
   if (calls.empty()) return;
@@ -395,9 +405,8 @@ void GvfsProxy::maybe_prefetch_(sim::Process& p, const nfs::Fh& fh, u64 block,
     if (!res || res->status != NfsStat::kOk || res->count == 0) continue;
     if (res->attr.attr) remember_attr_(fh, *res->attr.attr, p.now());
     // Re-check after the RPC wait: an eviction during the burst may have
-    // parked newer bytes for this block.
-    if (cfg_.async_writeback && flush_pending_block_(fh.key(), blocks[i])) continue;
-    if (block_has_queued_write_(fh.key(), blocks[i])) continue;
+    // logged newer bytes for this block.
+    if (log_.overlaps(fh.key(), blocks[i])) continue;
     (void)block_cache_->insert(p, cache::BlockId{fh.key(), blocks[i]}, res->data,
                                /*dirty=*/false);
     blocks_prefetched_.inc();
@@ -411,34 +420,32 @@ Status GvfsProxy::cache_writeback_(sim::Process& p, const cache::BlockId& id,
   // Copy the handle out of the map: the upstream WRITE below yields, and a
   // concurrent insert (rehash) or drop_soft_state() invalidates `it`.
   nfs::Fh fh = it->second;
+  if (cfg_.async_writeback) {
+    // Asynchronous write-back: queue the block in the dirty-extent log; the
+    // background flusher pushes it as pipelined UNSTABLE bursts + one
+    // COMMIT. The evicting reader pays no WAN round trip here. Staging
+    // supersedes older parked copies of the block's range.
+    coalesced_writebacks_.inc(log_.stage(id.file_key, id.block, data));
+    flush_enqueued_.inc();
+    maybe_spawn_flusher_(p);
+    return Status::ok();
+  }
   // This block's bytes are newer than any copy parked for replay over the
   // same byte range; neutralize the stale entries so a reconnect replay
   // (possibly triggered by this very write-back landing) cannot overwrite
   // what we send now.
-  u64 seq = next_write_seq_++;
-  supersede_parked_write_(id.file_key, id.block * cfg_.fetch_block, data, seq);
-  if (cfg_.async_writeback) {
-    // Asynchronous write-back: park the block in the per-file flush queue;
-    // the background flusher drains it as pipelined UNSTABLE bursts + one
-    // COMMIT. The evicting reader pays no WAN round trip here.
-    enqueue_flush_(p, fh, id.block, data, seq);
-    return Status::ok();
-  }
-  auto wargs = std::make_shared<nfs::WriteArgs>();
-  wargs->fh = fh;
-  wargs->offset = id.block * cfg_.fetch_block;
-  wargs->count = data ? static_cast<u32>(data->size()) : 0;
-  wargs->stable = nfs::StableHow::kFileSync;
-  wargs->data = data;
-  auto res = upstream_as_<nfs::WriteRes>(p, Proc::kWrite, wargs, session_cred_);
+  const DirtyLog::Extent x{id.block * cfg_.fetch_block, data, log_.next_stamp()};
+  coalesced_writebacks_.inc(log_.supersede(id.file_key, x));
+  auto res = upstream_as_<nfs::WriteRes>(
+      p, Proc::kWrite, write_args(fh, x, nfs::StableHow::kFileSync), session_cred_);
   if (!res.is_ok()) {
     // Any transport-level failure while the upstream is unreachable (not
     // just the first timeout — retries during an outage can surface other
     // transport errors) parks the block: it is leaving the cache, so the
-    // replay queue is the only place its data survives.
+    // log is the only place its data survives.
     if (cfg_.degraded_mode &&
         (res.code() == ErrCode::kTimeout || upstream_down_)) {
-      queue_degraded_write_(fh, id.block * cfg_.fetch_block, data, seq);
+      (log_.park(id.file_key, x) ? coalesced_writebacks_ : queued_writebacks_).inc();
       return Status::ok();
     }
     return res.status();
@@ -450,132 +457,62 @@ Status GvfsProxy::cache_writeback_(sim::Process& p, const cache::BlockId& id,
 
 // ------------------------------------------------- async write-back flusher --
 
-void GvfsProxy::enqueue_flush_(sim::Process& p, const nfs::Fh& fh, u64 block,
-                               const blob::BlobRef& data, u64 seq) {
-  u64 key = fh.key();
-  auto [it, inserted] = flush_queues_.try_emplace(key);
-  FlushQueue& q = it->second;
-  q.fh = fh;
-  if (q.blocks.insert_or_assign(block, FlushBlock{data, seq}).second) {
-    q.order.push_back(block);
-  }
-  if (inserted) flush_file_order_.push_back(key);
-  flush_epoch_.bump();
-  flush_enqueued_.inc();
-  maybe_spawn_flusher_(p);
-}
-
 void GvfsProxy::maybe_spawn_flusher_(sim::Process& p) {
-  if (flusher_active_ || sync_drain_ || flush_queues_.empty()) return;
+  if (flusher_active_ || sync_drain_) return;
   flusher_active_ = true;
   p.kernel().spawn(cfg_.name + "-flusher", [this](sim::Process& fp) {
-    Status st = drain_flush_queues_(fp);
+    Status st = push_queued_(fp);
     flusher_active_ = false;
     if (!st.is_ok()) {
-      // Blocks were either parked in the degraded replay queue or put back
-      // in the flush queue; the next enqueue or signal retries them.
+      // The extents were parked or requeued; the next stage or signal
+      // retries them.
       GVFS_WARN("proxy") << cfg_.name << ": flusher stalled ("
                          << st.to_string() << ")";
     }
   });
 }
 
-Status GvfsProxy::drain_flush_queues_(sim::Process& p) {
-  while (!flush_file_order_.empty()) {
-    u64 key = flush_file_order_.front();
-    flush_file_order_.erase(flush_file_order_.begin());
-    flush_epoch_.bump();
-    auto it = flush_queues_.find(key);
-    if (it == flush_queues_.end()) continue;
-    // Extract the whole per-file queue before blocking: enqueues that land
-    // while this file's RPCs are in flight start a fresh queue, picked up
-    // by a later loop round (or the next drain).
-    FlushQueue q = std::move(it->second);
-    flush_queues_.erase(it);
-    flush_epoch_.bump();
-    Status st = flush_file_(p, q);
-    if (!st.is_ok()) return st;
+Status GvfsProxy::push_queued_(sim::Process& p) {
+  while (auto key = log_.next_queued_file()) {
+    GVFS_RETURN_IF_ERROR(push_file_(p, *key));
   }
   return Status::ok();
 }
 
-Status GvfsProxy::flush_file_(sim::Process& p, const FlushQueue& q) {
-  // Keep the extracted (in-flight) data visible to concurrent degraded
-  // reads until it lands upstream or is re-queued.
-  draining_.emplace_back(q.fh.key(), &q);
-  flush_epoch_.bump();
-  struct DrainScope {
-    std::vector<std::pair<u64, const FlushQueue*>>& v;
-    const FlushQueue* q;
-    MutationEpoch& ep;
-    // Concurrent drains (background flusher + inline handle_commit_ /
-    // signal_write_back drains) block at RPC wait points and can finish in
-    // any order, so remove this scope's own entry by identity — popping the
-    // back could hide another drain's in-flight data and leave a dangling
-    // pointer to this (stack-allocated) queue behind.
-    ~DrainScope() {
-      auto it = std::find_if(v.begin(), v.end(),
-                             [this](const auto& e) { return e.second == q; });
-      if (it != v.end()) {
-        v.erase(it);
-        ep.bump();
+Status GvfsProxy::push_file_(sim::Process& p, u64 key) {
+  const nfs::Fh fh = key_to_fh_.at(key);
+  // Take the file's queued extents in flight before blocking: blocks staged
+  // while the RPCs are out queue afresh for a later push, and reads keep
+  // seeing the in-flight bytes until they settle.
+  const std::vector<DirtyLog::Extent> q = log_.take(key);
+  // A failed push loses nothing. Mid-outage transport errors park the
+  // extents: uncommitted UNSTABLE data on an unreachable server counts as
+  // lost, and FILE_SYNC replay restores durability on reconnect. Any other
+  // failure requeues them for the next push (blocks staged since win).
+  auto fail = [&](const Status& st, bool transport) {
+    if (transport && cfg_.degraded_mode &&
+        (st.code() == ErrCode::kTimeout || upstream_down_)) {
+      for (const auto& x : q) {
+        (log_.park(key, x) ? coalesced_writebacks_ : queued_writebacks_).inc();
       }
+      return Status::ok();
     }
-  } scope{draining_, &q, flush_epoch_};
-
-  // Park every block of the file in the degraded replay queue (replay uses
-  // FILE_SYNC, so durability is restored on reconnect). Blocks keep their
-  // enqueue-time recency stamp: data parked by a newer overlapping drain
-  // must not be clobbered by this one.
-  auto park_all = [&] {
-    for (u64 b : q.order) {
-      const FlushBlock& fb = q.blocks.at(b);
-      queue_degraded_write_(q.fh, b * cfg_.fetch_block, fb.data, fb.seq);
-    }
+    for (const auto& x : q) log_.requeue(key, x);
+    return st;
   };
 
-  // Put the file back in the flush queue after a transport failure outside
-  // degraded mode; blocks already re-dirtied by newer enqueues win.
-  auto requeue_all = [&] {
-    auto [it, inserted] = flush_queues_.try_emplace(q.fh.key());
-    FlushQueue& nq = it->second;
-    nq.fh = q.fh;
-    for (u64 b : q.order) {
-      if (nq.blocks.emplace(b, q.blocks.at(b)).second) nq.order.push_back(b);
-    }
-    if (inserted) flush_file_order_.push_back(q.fh.key());
-    flush_epoch_.bump();
-  };
-
-  for (u32 attempt = 0; attempt < cfg_.flush_max_attempts; ++attempt) {
-    bool verf_mismatch = false;
-    u64 commit_verf = 0;
+  for (u32 attempt = 0; attempt < kFlushMaxAttempts; ++attempt) {
     std::vector<u64> write_verfs;
-    write_verfs.reserve(q.order.size());
-
+    write_verfs.reserve(q.size());
     // Pipelined UNSTABLE WRITE bursts (same overlap machinery as prefetch).
-    for (std::size_t base = 0; base < q.order.size(); base += cfg_.flush_burst) {
-      std::size_t burst_end =
-          std::min(q.order.size(), base + static_cast<std::size_t>(cfg_.flush_burst));
+    for (std::size_t base = 0; base < q.size(); base += kFlushBurst) {
+      std::size_t burst_end = std::min(q.size(), base + kFlushBurst);
       std::vector<rpc::RpcCall> calls;
       calls.reserve(burst_end - base);
       for (std::size_t i = base; i < burst_end; ++i) {
-        u64 b = q.order[i];
-        auto wargs = std::make_shared<nfs::WriteArgs>();
-        wargs->fh = q.fh;
-        wargs->offset = b * cfg_.fetch_block;
-        const blob::BlobRef& data = q.blocks.at(b).data;
-        wargs->count = data ? static_cast<u32>(data->size()) : 0;
-        wargs->stable = nfs::StableHow::kUnstable;
-        wargs->data = data;
-        rpc::RpcCall c;
-        c.xid = next_xid_++;
-        c.prog = rpc::kNfsProgram;
-        c.vers = rpc::kNfsVersion3;
-        c.proc = static_cast<u32>(Proc::kWrite);
-        c.cred = session_cred_;
-        c.args = std::move(wargs);
-        calls.push_back(std::move(c));
+        calls.push_back(nfs_call_(Proc::kWrite,
+                                  write_args(fh, q[i], nfs::StableHow::kUnstable),
+                                  session_cred_));
       }
       calls_forwarded_.inc(calls.size());
       std::vector<rpc::RpcReply> replies = upstream_.call_pipelined(p, calls);
@@ -583,60 +520,38 @@ Status GvfsProxy::flush_file_(sim::Process& p, const FlushQueue& q) {
         const rpc::RpcReply& reply = replies[ri];
         if (!reply.status.is_ok()) {
           if (reply.status.code() == ErrCode::kTimeout) note_upstream_timeout_(p.now());
-          if (cfg_.degraded_mode &&
-              (reply.status.code() == ErrCode::kTimeout || upstream_down_)) {
-            park_all();
-            return Status::ok();
-          }
-          requeue_all();
-          return reply.status;
+          return fail(reply.status, /*transport=*/true);
         }
         auto res = rpc::message_cast<nfs::WriteRes>(reply.result);
-        if (!res) return err(ErrCode::kBadXdr, "unexpected flush write result");
-        if (res->status != NfsStat::kOk) return err(res->status, "flush write");
+        if (!res) return fail(err(ErrCode::kBadXdr, "unexpected flush write result"), false);
+        if (res->status != NfsStat::kOk) return fail(err(res->status, "flush write"), false);
         flush_unstable_writes_.inc();
         write_verfs.push_back(res->verifier);
-        // A copy of this block parked by an earlier failed drain is now
-        // stale; drop it before note_upstream_ok_ can replay it over the
-        // bytes that just landed. The seq guard keeps data parked by a
-        // newer concurrent drain of the same file intact.
-        u64 sent_block = q.order[base + ri];
-        const FlushBlock& sent = q.blocks.at(sent_block);
-        supersede_parked_write_(q.fh.key(), sent_block * cfg_.fetch_block,
-                                sent.data, sent.seq);
-        if (res->attr.attr) remember_attr_(q.fh, *res->attr.attr, p.now());
+        // A copy of this extent parked by an earlier failed push is now
+        // stale; drop it before the replay below can put it back over the
+        // bytes that just landed. Copies stamped newer stay intact.
+        coalesced_writebacks_.inc(log_.supersede(key, q[base + ri]));
+        if (res->attr.attr) remember_attr_(fh, *res->attr.attr, p.now());
       }
-      note_upstream_ok_(p);
+      if (upstream_down_) (void)replay_parked_(p);
     }
 
     // One COMMIT covers the whole file's unstable writes.
     auto cargs = std::make_shared<nfs::CommitArgs>();
-    cargs->fh = q.fh;
+    cargs->fh = fh;
     cargs->offset = 0;
     cargs->count = 0;  // RFC 1813: 0 = commit everything
     auto cres = upstream_as_<nfs::CommitRes>(p, Proc::kCommit, cargs, session_cred_);
-    if (!cres.is_ok()) {
-      if (cfg_.degraded_mode &&
-          (cres.code() == ErrCode::kTimeout || upstream_down_)) {
-        // Uncommitted UNSTABLE data on an unreachable server must be
-        // treated as lost: re-park everything for FILE_SYNC replay.
-        park_all();
-        return Status::ok();
-      }
-      requeue_all();
-      return cres.status();
+    if (!cres.is_ok()) return fail(cres.status(), /*transport=*/true);
+    if ((*cres)->status != NfsStat::kOk) {
+      return fail(err((*cres)->status, "flush commit"), false);
     }
-    if ((*cres)->status != NfsStat::kOk) return err((*cres)->status, "flush commit");
     flush_commits_.inc();
-    commit_verf = (*cres)->verifier;
-    for (u64 v : write_verfs) {
-      if (v != commit_verf) {
-        verf_mismatch = true;
-        break;
-      }
-    }
-    if (!verf_mismatch) {
-      if ((*cres)->attr.attr) remember_attr_(q.fh, *(*cres)->attr.attr, p.now());
+    const u64 commit_verf = (*cres)->verifier;
+    if (std::all_of(write_verfs.begin(), write_verfs.end(),
+                    [commit_verf](u64 v) { return v == commit_verf; })) {
+      if ((*cres)->attr.attr) remember_attr_(fh, *(*cres)->attr.attr, p.now());
+      for (const auto& x : q) log_.settle(key, x);
       return Status::ok();
     }
     // The server rebooted between the WRITEs and the COMMIT: every
@@ -645,32 +560,8 @@ Status GvfsProxy::flush_file_(sim::Process& p, const FlushQueue& q) {
     flush_verifier_resends_.inc();
     if (tracer_) tracer_->annotate(&p, cfg_.name, "flush_verf_resend", p.now());
   }
-  requeue_all();
-  return err(ErrCode::kIo, "flush: verifier kept changing (server reboot loop)");
-}
-
-std::optional<blob::BlobRef> GvfsProxy::flush_pending_block_(u64 file_key,
-                                                             u64 block) const {
-  // The block may sit in the pending queue and in several in-flight drains
-  // at once (concurrent drains complete in any order); the enqueue-time
-  // sequence stamp, not container position, says which copy is newest.
-  // `best` aims into those containers, so this scope must stay yield-free
-  // (the analyzer proves it; the guard asserts it in debug runs).
-  YieldGuard yield_free(flush_epoch_);
-  const FlushBlock* best = nullptr;
-  if (auto it = flush_queues_.find(file_key); it != flush_queues_.end()) {
-    if (auto b = it->second.blocks.find(block); b != it->second.blocks.end()) {
-      best = &b->second;
-    }
-  }
-  for (const auto& [key, q] : draining_) {
-    if (key != file_key) continue;
-    if (auto b = q->blocks.find(block); b != q->blocks.end()) {
-      if (best == nullptr || b->second.seq > best->seq) best = &b->second;
-    }
-  }
-  if (best == nullptr) return std::nullopt;
-  return best->data;
+  return fail(err(ErrCode::kIo, "flush: verifier kept changing (server reboot loop)"),
+              false);
 }
 
 // ---------------------------------------------------------- degraded mode --
@@ -683,33 +574,19 @@ void GvfsProxy::note_upstream_timeout_(SimTime now) {
   }
 }
 
-void GvfsProxy::note_upstream_ok_(sim::Process& p) {
-  if (!cfg_.degraded_mode || !upstream_down_ || replaying_) return;
-  // First successful upstream call after an outage: reconnect — drain the
-  // queued write-backs before declaring recovery.
-  (void)replay_write_queue_(p);
-}
-
-Status GvfsProxy::replay_write_queue_(sim::Process& p) {
-  if (!upstream_down_ && write_queue_.empty()) return Status::ok();
-  if (replaying_) return Status::ok();
+Status GvfsProxy::replay_parked_(sim::Process& p) {
+  if (replaying_ || (!upstream_down_ && log_.count(DirtyLog::State::kParked) == 0)) {
+    return Status::ok();
+  }
   replaying_ = true;
-  Status st = Status::ok();
-  if (cfg_.enable_leases && !lease_unsupported_ && !write_queue_.empty()) {
+  if (cfg_.enable_leases && !lease_unsupported_) {
     // Lease-loss fencing: a node whose write lease lapsed during the
     // partition must prove exclusive ownership again before its parked
     // writes replay — the lease may have moved to another writer whose
-    // bytes these stale entries would otherwise clobber blindly. Collect
-    // the keys up front (ensure_lease_ yields; queue indices don't survive
-    // that) and probe in sorted order for determinism.
-    std::vector<u64> fence_keys;
-    for (const auto& w : write_queue_) {
-      u64 k = w.fh.key();
-      if (std::find(fence_keys.begin(), fence_keys.end(), k) == fence_keys.end()) {
-        fence_keys.push_back(k);
-      }
-    }
-    std::sort(fence_keys.begin(), fence_keys.end());
+    // bytes these stale entries would otherwise clobber blindly. Probe the
+    // parked files in key order, for determinism; snapshot them first, as
+    // ensure_lease_ yields.
+    const std::vector<u64> fence_keys = log_.parked_files();
     for (u64 k : fence_keys) {
       if (auto held = held_leases_.find(k);
           held != held_leases_.end() &&
@@ -730,26 +607,17 @@ Status GvfsProxy::replay_write_queue_(sim::Process& p) {
       }
     }
   }
-  // Every WRITE below is an RPC wait point, and concurrent frames
-  // (cache_writeback_, flush_file_) erase and coalesce queue entries while
-  // it blocks — vector indices are not stable across an iteration. Track
-  // progress by the entries' recency stamps instead: replay oldest-first
-  // (so a newer overlapping write lands last on the server) and afterwards
-  // erase the entry only if its stamp is unchanged — a concurrent coalesce
-  // bumped it, and the newer bytes deserve their own replay.
-  while (!write_queue_.empty()) {
-    std::size_t pick = 0;
-    for (std::size_t i = 1; i < write_queue_.size(); ++i) {
-      if (write_queue_[i].seq < write_queue_[pick].seq) pick = i;
-    }
-    const PendingWrite w = write_queue_[pick];
-    auto wargs = std::make_shared<nfs::WriteArgs>();
-    wargs->fh = w.fh;
-    wargs->offset = w.offset;
-    wargs->count = w.data ? static_cast<u32>(w.data->size()) : 0;
-    wargs->stable = nfs::StableHow::kFileSync;
-    wargs->data = w.data;
-    auto res = upstream_as_<nfs::WriteRes>(p, Proc::kWrite, wargs, session_cred_);
+  // Every WRITE below is an RPC wait point, and other fibers supersede,
+  // coalesce and park extents while it blocks. Replay oldest stamp first
+  // (so a newer overlapping write lands last on the server), and unpark an
+  // extent only if its stamp is unchanged — a concurrent coalesce re-stamped
+  // it, and the newer bytes deserve their own replay.
+  Status st = Status::ok();
+  while (auto w = log_.oldest_parked()) {
+    auto res = upstream_as_<nfs::WriteRes>(
+        p, Proc::kWrite,
+        write_args(key_to_fh_.at(w->file), w->extent, nfs::StableHow::kFileSync),
+        session_cred_);
     if (!res.is_ok()) {
       st = res.status();
       break;
@@ -759,169 +627,15 @@ Status GvfsProxy::replay_write_queue_(sim::Process& p) {
       break;
     }
     replayed_writebacks_.inc();
-    for (std::size_t i = 0; i < write_queue_.size(); ++i) {
-      if (write_queue_[i].seq != w.seq) continue;
-      write_queue_.erase(write_queue_.begin() + static_cast<std::ptrdiff_t>(i));
-      rebuild_write_queue_index_();
-      break;
-    }
+    log_.unpark(w->file, w->extent);
   }
   replaying_ = false;
-  if (st.is_ok() && write_queue_.empty() && upstream_down_) {
+  if (st.is_ok() && upstream_down_ && log_.count(DirtyLog::State::kParked) == 0) {
     upstream_down_ = false;
     last_recovery_time_ = p.now() - outage_started_;
     outage_total_ += last_recovery_time_;
   }
   return st;
-}
-
-void GvfsProxy::queue_degraded_write_(const nfs::Fh& fh, u64 offset,
-                                      const blob::BlobRef& data, u64 seq) {
-  std::pair<u64, u64> key{fh.key(), offset};
-  if (auto it = write_queue_index_.find(key); it != write_queue_index_.end()) {
-    // Coalesce: the newer of the two writes to the same (fh, offset) wins —
-    // replaying both would waste a WAN round trip on dead data. Recency is
-    // decided by the sequence stamp: a failed drain re-parking an extracted
-    // block can arrive here *after* a newer write was queued.
-    PendingWrite& w = write_queue_[it->second];
-    u64 old_n = w.data ? w.data->size() : 0;
-    u64 new_n = data ? data->size() : 0;
-    const bool incoming_newer = seq > w.seq;
-    const blob::BlobRef& win = incoming_newer ? data : w.data;
-    const blob::BlobRef& lose = incoming_newer ? w.data : data;
-    u64 win_n = incoming_newer ? new_n : old_n;
-    u64 lose_n = incoming_newer ? old_n : new_n;
-    if (win_n >= lose_n) {
-      w.data = win;
-    } else {
-      // The winner is shorter: keep the loser's tail beyond it so the
-      // coalesced entry still covers every byte the queue promised.
-      blob::ExtentStore merged;
-      merged.truncate(lose_n);
-      merged.write_blob(0, lose, 0, lose_n);
-      merged.write_blob(0, win, 0, win_n);
-      w.data = merged.snapshot();
-    }
-    w.seq = std::max(w.seq, seq);
-    coalesced_writebacks_.inc();
-    return;
-  }
-  write_queue_index_.emplace(key, write_queue_.size());
-  write_queue_.push_back(PendingWrite{fh, offset, data, seq});
-  write_queue_epoch_.bump();
-  queued_writebacks_.inc();
-}
-
-void GvfsProxy::supersede_parked_write_(u64 file_key, u64 offset,
-                                        const blob::BlobRef& data, u64 seq) {
-  u64 n = data ? data->size() : 0;
-  if (n == 0 || write_queue_.empty()) return;
-  u64 lo = offset;
-  u64 hi = offset + n;
-  bool erased = false;
-  for (std::size_t i = 0; i < write_queue_.size();) {
-    PendingWrite& w = write_queue_[i];
-    u64 wn = w.data ? w.data->size() : 0;
-    u64 olo = std::max(lo, w.offset);
-    u64 ohi = std::min(hi, w.offset + wn);
-    // Skip entries of other files, non-overlapping ranges, and — crucially —
-    // entries stamped newer than the data heading upstream (e.g. parked by a
-    // concurrent drain that extracted fresher bytes).
-    if (w.fh.key() != file_key || olo >= ohi || w.seq > seq) {
-      ++i;
-      continue;
-    }
-    if (lo <= w.offset && w.offset + wn <= hi) {
-      // Fully covered by the bytes about to land upstream: drop it.
-      write_queue_.erase(write_queue_.begin() + static_cast<std::ptrdiff_t>(i));
-      erased = true;
-      coalesced_writebacks_.inc();
-      continue;
-    }
-    // Partial overlap (degraded writes park raw, non-block-aligned offsets):
-    // patch the overlapping bytes with the newer data so a later replay
-    // cannot put stale bytes over what is about to land upstream. The
-    // entry keeps its original stamp — its un-patched remainder is no newer
-    // than it ever was.
-    blob::ExtentStore patched;
-    patched.truncate(wn);
-    patched.write_blob(0, w.data, 0, wn);
-    patched.write_blob(olo - w.offset, data, olo - lo, ohi - olo);
-    w.data = patched.snapshot();
-    coalesced_writebacks_.inc();
-    ++i;
-  }
-  if (erased) rebuild_write_queue_index_();
-}
-
-bool GvfsProxy::block_has_queued_write_(u64 file_key, u64 block) const {
-  // Index entries are raw positions into write_queue_; both stay consistent
-  // only while no other fiber runs.
-  YieldGuard yield_free(write_queue_epoch_);
-  if (write_queue_.empty()) return false;
-  u64 lo = block * cfg_.fetch_block;
-  u64 hi = lo + cfg_.fetch_block;
-  for (auto it = write_queue_index_.lower_bound({file_key, 0});
-       it != write_queue_index_.end() && it->first.first == file_key; ++it) {
-    const PendingWrite& w = write_queue_[it->second];
-    u64 n = w.data ? w.data->size() : 0;
-    if (w.offset < hi && w.offset + n > lo) return true;
-  }
-  return false;
-}
-
-void GvfsProxy::rebuild_write_queue_index_() {
-  // Every erase from write_queue_ funnels through a rebuild, so one bump
-  // here covers the replay-erase and supersede-erase batches.
-  write_queue_epoch_.bump();
-  write_queue_index_.clear();
-  for (std::size_t i = 0; i < write_queue_.size(); ++i) {
-    // Later entries win, matching the index's coalescing invariant.
-    write_queue_index_[{write_queue_[i].fh.key(), write_queue_[i].offset}] = i;
-  }
-}
-
-std::optional<blob::BlobRef> GvfsProxy::queued_block_(u64 file_key,
-                                                      u64 block) const {
-  // Assemble the block from every queued write overlapping its byte range —
-  // degraded writes are queued at their raw downstream offset, which need
-  // not be block-aligned. Newest write wins on overlap: apply in sequence-
-  // stamp order, NOT vector order — coalescing refreshes an entry's bytes
-  // in place at its original slot, so position says nothing about recency.
-  // The collected indices are only meaningful while write_queue_ holds
-  // still; a yield sneaking into this assembly would let a replay erase
-  // reshuffle them mid-sort.
-  YieldGuard yield_free(write_queue_epoch_);
-  u64 block_lo = block * cfg_.fetch_block;
-  u64 block_hi = block_lo + cfg_.fetch_block;
-  std::vector<std::size_t> indices;
-  for (auto it = write_queue_index_.lower_bound({file_key, 0});
-       it != write_queue_index_.end() && it->first.first == file_key; ++it) {
-    indices.push_back(it->second);
-  }
-  std::sort(indices.begin(), indices.end(), [this](std::size_t a, std::size_t b) {
-    return write_queue_[a].seq < write_queue_[b].seq;
-  });
-  blob::ExtentStore assembled;
-  assembled.truncate(cfg_.fetch_block);
-  u64 covered_hi = 0;
-  bool any = false;
-  for (std::size_t i : indices) {
-    const PendingWrite& w = write_queue_[i];
-    u64 n = w.data ? w.data->size() : 0;
-    u64 lo = std::max(block_lo, w.offset);
-    u64 hi = std::min(block_hi, w.offset + n);
-    if (lo >= hi) continue;
-    assembled.write_blob(lo - block_lo, w.data, lo - w.offset, hi - lo);
-    covered_hi = std::max(covered_hi, hi - block_lo);
-    any = true;
-  }
-  if (!any) return std::nullopt;
-  // Bytes inside the block but not covered by any queued write read as
-  // zeros: the cache was invalidated when the write was queued, so this is
-  // the best available degraded answer (documented best-effort).
-  assembled.truncate(covered_hi);
-  return assembled.snapshot();
 }
 
 std::optional<vfs::Attr> GvfsProxy::stale_attr_(const nfs::Fh& fh) {
@@ -971,7 +685,7 @@ Status GvfsProxy::revalidate_stale_attrs_(sim::Process& p) {
       if (block_cache_ != nullptr) {
         sync_drain_ = true;
         Status st = block_cache_->write_back_file(p, k);
-        if (st.is_ok() && cfg_.async_writeback) st = drain_flush_queues_(p);
+        if (st.is_ok()) st = push_queued_(p);
         sync_drain_ = false;
         GVFS_RETURN_IF_ERROR(st);
         block_cache_->invalidate_file(k);
@@ -1029,7 +743,7 @@ Status GvfsProxy::ensure_lease_(sim::Process& p, const Fh& fh, nfs::LeaseMode mo
       (it->second.mode == nfs::LeaseMode::kWrite || it->second.mode == mode)) {
     return Status::ok();
   }
-  for (u32 attempt = 0; attempt <= cfg_.lease_max_retries; ++attempt) {
+  for (u32 attempt = 0; attempt <= kLeaseMaxRetries; ++attempt) {
     auto largs = std::make_shared<nfs::LeaseArgs>();
     largs->fh = fh;
     largs->client_id = cfg_.lease_client_id;
@@ -1058,7 +772,7 @@ Status GvfsProxy::ensure_lease_(sim::Process& p, const Fh& fh, nfs::LeaseMode mo
     // Back off and retry; the retry horizon outlasts the server's lease
     // duration, so a partitioned holder lapses before we give up.
     lease_acquire_retries_.inc();
-    p.delay(cfg_.lease_retry_delay);
+    p.delay(kLeaseRetryDelay);
   }
   lease_acquire_failures_.inc();
   return err(ErrCode::kTimeout, "lease acquire: conflict never cleared");
@@ -1082,7 +796,7 @@ rpc::RpcReply GvfsProxy::handle_recall_(sim::Process& p, const rpc::RpcCall& cal
   if (block_cache_ != nullptr) {
     sync_drain_ = true;
     Status st = block_cache_->write_back_file(p, key);
-    if (st.is_ok() && cfg_.async_writeback) st = drain_flush_queues_(p);
+    if (st.is_ok()) st = push_queued_(p);
     sync_drain_ = false;
     if (!st.is_ok()) flushed = false;
     block_cache_->invalidate_file(key);
@@ -1095,7 +809,6 @@ rpc::RpcReply GvfsProxy::handle_recall_(sim::Process& p, const rpc::RpcCall& cal
   attr_cache_.erase(key);
   attr_gauge_sync_();
   size_override_.erase(key);
-  commit_pending_.erase(key);
   profiles_.erase(key);
   held_leases_.erase(key);
   res->status = NfsStat::kOk;
@@ -1391,7 +1104,8 @@ rpc::RpcReply GvfsProxy::handle_write_(sim::Process& p, const rpc::RpcCall& call
       }
     } else if (cfg_.degraded_mode && reply.status.code() == ErrCode::kTimeout) {
       // Degraded write-through: acknowledge locally, queue for replay.
-      queue_degraded_write_(a.fh, a.offset, a.data, next_write_seq_++);
+      const DirtyLog::Extent x{a.offset, a.data, log_.next_stamp()};
+      (log_.park(key, x) ? coalesced_writebacks_ : queued_writebacks_).inc();
       block_cache_->invalidate_file(key);
       size_override_[key] =
           std::max(effective_size_(a.fh, cached_attr_(a.fh, p.now())),
@@ -1423,9 +1137,15 @@ rpc::RpcReply GvfsProxy::handle_write_(sim::Process& p, const rpc::RpcCall& call
       continue;
     }
     if (!block_cache_->contains(id) && block_start < known) {
-      // Partial write into an existing block: fetch-and-merge.
+      // Partial write into an existing block: fetch-and-merge. Bytes served
+      // from the dirty-extent log come back without a cache insert; install
+      // them, or the merge below would rebuild the block around zeros.
       auto blockr = get_block_(p, a.fh, b, cred);
       if (!blockr.is_ok()) return rpc::make_error_reply(call, blockr.status());
+      if (!block_cache_->contains(id) && *blockr) {
+        Status st = block_cache_->insert(p, id, *blockr, /*dirty=*/false);
+        if (!st.is_ok()) return rpc::make_error_reply(call, st);
+      }
     }
     if (block_cache_->contains(id)) {
       auto merged = block_cache_->merge(p, id, lo - block_start, slice);
@@ -1440,7 +1160,6 @@ rpc::RpcReply GvfsProxy::handle_write_(sim::Process& p, const rpc::RpcCall& call
     }
   }
   size_override_[key] = std::max(known, end);
-  commit_pending_.insert(key);
   writes_absorbed_.inc();
   if (tracer_) tracer_->annotate(&p, cfg_.name, "write_absorbed", p.now());
 
@@ -1507,16 +1226,15 @@ rpc::RpcReply GvfsProxy::handle_commit_(sim::Process& p, const rpc::RpcCall& cal
   }
   if (write_back_mode && !cfg_.absorb_commit) {
     // Honest COMMIT: the client asked for durability, so dirty blocks staged
-    // in the cache (and, under async write-back, in the flush queue) must
+    // in the cache (and, under async write-back, in the dirty-extent log) must
     // reach the server before the COMMIT is forwarded.
     Status st = block_cache_->write_back_file(p, a.fh.key());
-    if (st.is_ok() && cfg_.async_writeback) st = drain_flush_queues_(p);
+    if (st.is_ok()) st = push_queued_(p);
     if (!st.is_ok()) return rpc::make_error_reply(call, st);
-    commit_pending_.erase(a.fh.key());
   }
   rpc::RpcReply reply = forward_(p, call);
   if (cfg_.degraded_mode && reply.status.code() == ErrCode::kTimeout) {
-    // The data this COMMIT covers sits in the replay queue; acknowledging it
+    // The data this COMMIT covers is parked for replay; acknowledging it
     // locally is the same promise write-back mode makes (replayed durable on
     // reconnect).
     auto res = std::make_shared<nfs::CommitRes>();
@@ -1554,7 +1272,7 @@ rpc::RpcReply GvfsProxy::handle_setattr_(sim::Process& p, const rpc::RpcCall& ca
 // ------------------------------------------------------ middleware signals --
 
 Status GvfsProxy::signal_reconnect(sim::Process& p) {
-  GVFS_RETURN_IF_ERROR(replay_write_queue_(p));
+  GVFS_RETURN_IF_ERROR(replay_parked_(p));
   return revalidate_stale_attrs_(p);
 }
 
@@ -1565,14 +1283,13 @@ Status GvfsProxy::signal_write_back(sim::Process& p) {
     // write_back_all triggers).
     sync_drain_ = true;
     Status st = block_cache_->write_back_all(p);
-    if (st.is_ok() && cfg_.async_writeback) st = drain_flush_queues_(p);
+    if (st.is_ok()) st = push_queued_(p);
     sync_drain_ = false;
     GVFS_RETURN_IF_ERROR(st);
   }
   if (file_cache_ != nullptr) {
     GVFS_RETURN_IF_ERROR(file_cache_->write_back_all(p));
   }
-  commit_pending_.clear();
   return Status::ok();
 }
 
@@ -1583,7 +1300,6 @@ void GvfsProxy::drop_soft_state() {
   size_override_.clear();
   metas_.clear();
   meta_negative_.clear();
-  commit_pending_.clear();
   // Stale ahead_until/run would make the refill guard suppress read-ahead
   // on the next cold pass over the same file.
   profiles_.clear();

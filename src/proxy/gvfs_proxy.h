@@ -22,11 +22,11 @@
 #include "cache/block_cache.h"
 #include "cache/file_cache.h"
 #include "common/metrics.h"
-#include "common/mutation_epoch.h"
 #include "common/trace.h"
 #include "meta/file_channel.h"
 #include "meta/meta_file.h"
 #include "nfs/nfs_types.h"
+#include "proxy/dirty_log.h"
 #include "rpc/rpc.h"
 
 namespace gvfs::proxy {
@@ -52,23 +52,19 @@ struct ProxyConfig {
 
   // Degraded-mode operation during WAN outages (partitions, server
   // reboots): keep serving reads from the caches (session consistency
-  // permits it), queue failed write-backs, replay the queue on reconnect.
+  // permits it), park failed write-backs, replay them on reconnect.
   // Off by default — without it upstream timeouts surface as errors.
   bool degraded_mode = false;
 
   // Asynchronous batched write-back: instead of one blocking FILE_SYNC
-  // WRITE per dirty block, evicted / signalled dirty blocks enter a
-  // per-file flush queue drained by a background flusher process as
+  // WRITE per dirty block, evicted / signalled dirty blocks are queued in
+  // the dirty-extent log and pushed by a background flusher process as
   // pipelined UNSTABLE WRITE bursts followed by one COMMIT per file (the
   // NFSv3 safe-asynchronous-write protocol). The COMMIT verifier is checked
   // against every WRITE's verifier; a mismatch means the server rebooted
   // mid-flush and the whole file is re-sent. Off by default — the write
   // path stays byte-identical to the synchronous proxy.
   bool async_writeback = false;
-  // Max WRITE calls per pipelined burst while draining a file's queue.
-  u32 flush_burst = 32;
-  // Verifier-mismatch re-send attempts per file before giving up.
-  u32 flush_max_attempts = 3;
 
   // Single-flight miss coalescing: concurrent downstream readers of the
   // same uncached block share one upstream fetch instead of issuing
@@ -99,12 +95,6 @@ struct ProxyConfig {
   bool enable_leases = false;
   // Identity presented on LEASE_ACQUIRE and matched by server recalls.
   u64 lease_client_id = 0;
-  // Conflict back-off between LEASE_ACQUIRE retries (the server answered
-  // granted=false while it recalls the current holder). The retry horizon
-  // (delay * max_retries) must outlast the server's lease_duration so a
-  // partitioned holder lapses before the contender gives up.
-  SimDuration lease_retry_delay = 500 * kMillisecond;
-  u32 lease_max_retries = 128;
 
   // Bound on attr_cache_ entries; the least-recently-touched entry is
   // evicted past it. 0 = unbounded (pre-fix behavior, tests only).
@@ -182,7 +172,7 @@ class GvfsProxy final : public rpc::RpcHandler {
   [[nodiscard]] u64 queued_writebacks() const { return queued_writebacks_.value(); }
   [[nodiscard]] u64 replayed_writebacks() const { return replayed_writebacks_.value(); }
   [[nodiscard]] u64 coalesced_writebacks() const { return coalesced_writebacks_.value(); }
-  [[nodiscard]] u64 pending_writebacks() const { return write_queue_.size(); }
+  [[nodiscard]] u64 pending_writebacks() const { return log_.count(DirtyLog::State::kParked); }
 
   // ---- async flusher / single-flight metrics -------------------------------
   [[nodiscard]] u64 flush_enqueued_blocks() const { return flush_enqueued_.value(); }
@@ -190,19 +180,14 @@ class GvfsProxy final : public rpc::RpcHandler {
   [[nodiscard]] u64 flush_commits() const { return flush_commits_.value(); }
   [[nodiscard]] u64 flush_verifier_resends() const { return flush_verifier_resends_.value(); }
   [[nodiscard]] u64 flush_queue_reads() const { return flush_queue_reads_.value(); }
-  [[nodiscard]] u64 pending_flush_blocks() const {
-    u64 n = 0;
-    // gvfs-lint: allow(unordered-iteration) commutative sum; order cannot escape
-    for (const auto& [key, q] : flush_queues_) n += q.order.size();
-    return n;
-  }
+  [[nodiscard]] u64 pending_flush_blocks() const { return log_.count(DirtyLog::State::kQueued); }
   // Upstream fetches this proxy led on behalf of concurrent readers / the
   // number of reader fetches coalesced onto another reader's in-flight one.
   [[nodiscard]] u64 single_flight_leads() const { return single_flight_leads_.value(); }
   [[nodiscard]] u64 single_flight_waits() const { return single_flight_waits_.value(); }
   // Virtual time spent with the upstream marked unreachable (closed outages).
   [[nodiscard]] SimDuration outage_time() const { return outage_total_; }
-  // Duration of the last outage, first timeout -> queue fully replayed.
+  // Duration of the last outage, first timeout -> nothing left parked.
   [[nodiscard]] SimDuration last_recovery_time() const { return last_recovery_time_; }
   void reset_stats();
 
@@ -252,6 +237,9 @@ class GvfsProxy final : public rpc::RpcHandler {
   };
 
   // -- upstream helpers ------------------------------------------------------
+  // A fresh-xid NFSv3 call.
+  rpc::RpcCall nfs_call_(nfs::Proc proc, rpc::MessagePtr args,
+                         const rpc::Credential& cred);
   rpc::RpcReply forward_(sim::Process& p, const rpc::RpcCall& call);
   Result<rpc::MessagePtr> upstream_call_(sim::Process& p, nfs::Proc proc,
                                          rpc::MessagePtr args,
@@ -303,56 +291,23 @@ class GvfsProxy final : public rpc::RpcHandler {
   Status cache_writeback_(sim::Process& p, const cache::BlockId& id,
                           const blob::BlobRef& data);
 
-  // -- async write-back flusher ----------------------------------------------
-  // One file's pending dirty blocks awaiting the flusher, newest data wins.
-  // Each block carries the global write sequence stamp it was enqueued with
-  // so recency survives extraction, re-queueing, and parking for replay.
-  struct FlushBlock {
-    blob::BlobRef data;
-    u64 seq = 0;
-  };
-  struct FlushQueue {
-    nfs::Fh fh;
-    std::vector<u64> order;                        // block indices, FIFO
-    std::unordered_map<u64, FlushBlock> blocks;    // block -> newest data
-  };
-  void enqueue_flush_(sim::Process& p, const nfs::Fh& fh, u64 block,
-                      const blob::BlobRef& data, u64 seq);
+  // -- dirty-extent log traffic ---------------------------------------------
   void maybe_spawn_flusher_(sim::Process& p);
-  // Drain every queued file (FIFO by first enqueue). Re-entrant: a file is
-  // extracted before its RPCs are issued, so the background flusher and a
-  // synchronous signal_write_back can drain concurrently.
-  Status drain_flush_queues_(sim::Process& p);
-  // Pipelined UNSTABLE bursts + one COMMIT; verifier-checked re-send.
-  Status flush_file_(sim::Process& p, const FlushQueue& q);
-  // Pending (or in-flight) flush data for a block, newest wins.
-  [[nodiscard]] std::optional<blob::BlobRef> flush_pending_block_(u64 file_key,
-                                                                 u64 block) const;
+  // Push every queued file, first queued first. Re-entrant: a file's
+  // extents are taken in flight before its RPCs are issued, so the
+  // background flusher and an inline signal_write_back can push at once.
+  Status push_queued_(sim::Process& p);
+  // One file: pipelined UNSTABLE bursts + one COMMIT, verifier-checked
+  // re-send. On failure the extents are parked (mid-outage transport
+  // errors) or requeued (anything else).
+  Status push_file_(sim::Process& p, u64 key);
+  // Replay parked extents as FILE_SYNC WRITEs, oldest stamp first, behind
+  // the lease fence; closes the outage once nothing is parked.
+  Status replay_parked_(sim::Process& p);
 
   // -- degraded mode ---------------------------------------------------------
-  // Enqueue (coalescing, recency decided by `seq`) a write for replay after
-  // the outage.
-  void queue_degraded_write_(const nfs::Fh& fh, u64 offset,
-                             const blob::BlobRef& data, u64 seq);
-  // Neutralize parked writes overlapping data that is about to head upstream
-  // — otherwise the replay triggered by that very write's success would put
-  // the stale parked bytes back over it. Fully covered entries are dropped;
-  // partially overlapping (non-block-aligned) ones are patched with the new
-  // bytes. Parked entries stamped newer than `seq` are left alone.
-  void supersede_parked_write_(u64 file_key, u64 offset,
-                               const blob::BlobRef& data, u64 seq);
-  void rebuild_write_queue_index_();
-  // True if any queued degraded write overlaps the block's byte range.
-  [[nodiscard]] bool block_has_queued_write_(u64 file_key, u64 block) const;
-  // Record an upstream timeout (opens an outage) / a success (closes it once
-  // the queue drains).
+  // Record an upstream timeout (opens an outage).
   void note_upstream_timeout_(SimTime now);
-  void note_upstream_ok_(sim::Process& p);
-  Status replay_write_queue_(sim::Process& p);
-  // Serve a whole block from the pending write queue if a queued write-back
-  // covers it (a queued block left the cache; its data must stay readable).
-  [[nodiscard]] std::optional<blob::BlobRef> queued_block_(u64 file_key,
-                                                          u64 block) const;
   // Attribute lookup ignoring the TTL (stale is better than nothing while
   // the upstream is unreachable). Keys served during an outage are recorded
   // in stale_served_ for the reconnect-time re-probe.
@@ -392,7 +347,6 @@ class GvfsProxy final : public rpc::RpcHandler {
   std::unordered_set<u64> meta_negative_;                   // probed, none found
   std::unordered_set<u64> dedup_written_;  // fh keys whose fp table went stale
   std::unordered_map<u64, nfs::Fh> key_to_fh_;
-  std::unordered_set<u64> commit_pending_;  // fh keys with absorbed writes
   rpc::Credential session_cred_;  // per-session identity used upstream
 
   // Access profile per file: last block fetched and current sequential run
@@ -405,32 +359,9 @@ class GvfsProxy final : public rpc::RpcHandler {
   };
   std::unordered_map<u64, AccessProfile> profiles_;
 
-  // Write-backs queued while the upstream was unreachable. Each entry is
-  // stamped with the global write sequence number of its newest bytes;
-  // recency (degraded-read assembly, replay ordering, supersede decisions)
-  // is decided by `seq`, never by position in the vector — coalescing keeps
-  // an entry at its original slot while bumping its stamp.
-  struct PendingWrite {
-    nfs::Fh fh;
-    u64 offset = 0;
-    blob::BlobRef data;
-    u64 seq = 0;
-  };
-  std::vector<PendingWrite> write_queue_;
-  // (file_key, offset) -> index into write_queue_; repeated writes to the
-  // same offset coalesce in place (newest wins) and degraded reads walk one
-  // file's entries in offset order instead of scanning the whole queue.
-  std::map<std::pair<u64, u64>, std::size_t> write_queue_index_;
-  // Dynamic half of the yield-point analysis (DESIGN.md §5.8): bumped on
-  // every structural mutation of write_queue_ / write_queue_index_ (park,
-  // supersede-erase, replay-erase, index rebuild). YieldGuards in the
-  // yield-free readers (block_has_queued_write_, queued_block_) assert it
-  // holds still while their raw references into the queue are live.
-  MutationEpoch write_queue_epoch_;
-  // Global recency stamp shared by flush-queue blocks and parked degraded
-  // writes (a per-write Lamport clock; the sim is cooperative so a plain
-  // counter is exact).
-  u64 next_write_seq_ = 1;
+  // Every dirty byte that left the block cache but is not yet durable
+  // upstream: queued for the flusher, in flight, or parked for replay.
+  DirtyLog log_;
   bool upstream_down_ = false;
   bool replaying_ = false;
   SimTime outage_started_ = 0;
@@ -442,16 +373,6 @@ class GvfsProxy final : public rpc::RpcHandler {
   metrics::Counter coalesced_writebacks_;
 
   // ---- async write-back flusher state --------------------------------------
-  std::unordered_map<u64, FlushQueue> flush_queues_;  // file_key
-  std::vector<u64> flush_file_order_;                 // first-enqueue FIFO
-  // Files whose extracted queue is mid-flush (RPCs in flight); their data
-  // must stay readable until the flush lands or the blocks are re-queued.
-  std::vector<std::pair<u64, const FlushQueue*>> draining_;
-  // Bumped on every structural mutation of the flusher containers
-  // (flush_queues_ / flush_file_order_ / draining_); the YieldGuard in
-  // flush_pending_block_ asserts the family holds still while it chases
-  // pointers into extracted queues.
-  MutationEpoch flush_epoch_;
   bool flusher_active_ = false;
   bool sync_drain_ = false;  // signal_write_back drains inline; don't spawn
   metrics::Counter flush_enqueued_;

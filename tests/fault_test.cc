@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "blob/blob.h"
+#include "blob/extent_store.h"
 #include "gvfs/testbed.h"
 #include "nfs/nfs_client.h"
 #include "nfs/nfs_server.h"
@@ -1210,9 +1211,8 @@ TEST(WritebackParking, ReplaySurvivesConcurrentSupersede) {
 }
 
 // Stalls upstream COMMITs, with separate stalls for the background flusher
-// and for inline (foreground) drains, so two flush_file_ frames for
-// different files can be pinned in flight simultaneously and complete in
-// non-LIFO order.
+// and for inline (foreground) drains, so two pushes of different files
+// can be pinned in flight simultaneously and complete in non-LIFO order.
 struct StallCommitChannel final : rpc::RpcChannel {
   explicit StallCommitChannel(rpc::RpcChannel& in) : inner(in) {}
   rpc::RpcChannel& inner;
@@ -1255,8 +1255,8 @@ TEST(WritebackDrain, ConcurrentDrainCompletionKeepsInFlightDataVisible) {
   // Mid-stall probe: /b's bytes sit in an extracted in-flight drain whose
   // COMMIT is pinned for tens of sim-milliseconds. Once /c's read evicts
   // /b's clean cache copy, a read of /b must be served from that in-flight
-  // drain — if the earlier-finishing /a drain removed the wrong draining_
-  // entry, /b's data would be invisible and the read would fetch the
+  // drain — if the earlier-finishing /a drain settled /b's in-flight
+  // extents, /b's data would be invisible and the read would fetch the
   // not-yet-committed server copy without touching flush_queue_reads.
   (void)f.kernel.spawn("probe", [&](sim::Process& q) {
     ASSERT_TRUE(reader.mount(q, "/exports").is_ok());
@@ -1278,8 +1278,8 @@ TEST(WritebackDrain, ConcurrentDrainCompletionKeepsInFlightDataVisible) {
     ASSERT_TRUE(client.flush(p).is_ok());
     p.delay(kMillisecond);  // flusher extracts /a and hits its COMMIT stall
     // Inline drain of /b overlaps the flusher's pinned /a drain and outlives
-    // it by ~45 ms: when /a's frame finishes first (non-LIFO), it must
-    // remove its own draining_ entry, not /b's.
+    // it by ~45 ms: when /a's push finishes first (non-LIFO), it must
+    // settle only its own in-flight extents, not /b's.
     ASSERT_TRUE(proxy.signal_write_back(p).is_ok());
   });
   EXPECT_EQ(f.kernel.failed_processes(), 0) << f.kernel.failed_names_joined();
@@ -1300,6 +1300,62 @@ struct ToggleOutageChannel final : rpc::RpcChannel {
     return inner.call(p, c);
   }
 };
+
+// A partial write into a block whose newest bytes sit in the dirty-extent
+// log (evicted dirty, then parked mid-outage) must merge with those bytes:
+// fetch-and-merge reads them back from the log, and they must not be
+// replaced by zeros around the written range.
+TEST(WritebackParking, PartialWriteIntoParkedBlockKeepsParkedBytes) {
+  MiniProxyStack f;
+  ToggleOutageChannel toggle(f.link);
+  cache::BlockCacheConfig ccfg = MiniProxyStack::cache_cfg();
+  ccfg.capacity_bytes = 32_KiB;  // one frame: every insert evicts the last
+  ccfg.num_banks = 1;
+  ccfg.associativity = 1;
+  cache::ProxyDiskCache cache(f.client_disk, ccfg);
+  proxy::ProxyConfig pcfg;
+  pcfg.name = "degraded-proxy";
+  pcfg.enable_meta = false;
+  pcfg.degraded_mode = true;
+  pcfg.attr_ttl = 600 * kSecond;
+  proxy::GvfsProxy proxy(pcfg, toggle);
+  proxy.attach_block_cache(cache);
+  rpc::LinkChannel loop(proxy, nullptr, nullptr, 15 * kMicrosecond);
+  nfs::NfsClient client(loop, MiniProxyStack::cred(), MiniProxyStack::client_cfg());
+
+  blob::BlobRef a = blob::make_synthetic(92, 32_KiB, 0, 1.0);
+  blob::BlobRef b = blob::make_synthetic(93, 32_KiB, 0, 1.0);
+  blob::BlobRef patch = blob::make_synthetic(94, 4_KiB, 0, 1.0);
+  ASSERT_TRUE(f.fs.put_file("/exports/a", blob::make_zero(32_KiB)).is_ok());
+  ASSERT_TRUE(f.fs.put_file("/exports/b", blob::make_zero(32_KiB)).is_ok());
+  blob::ExtentStore want;
+  want.write_blob(0, a, 0, 32_KiB);
+  want.write_blob(8_KiB, patch, 0, 4_KiB);
+  f.kernel.run_process("t", [&](sim::Process& p) {
+    ASSERT_TRUE(client.mount(p, "/exports").is_ok());
+    ASSERT_TRUE(client.stat(p, "/a").is_ok());
+    ASSERT_TRUE(client.stat(p, "/b").is_ok());
+    ASSERT_TRUE(client.write(p, "/a", 0, a).is_ok());
+    ASSERT_TRUE(client.flush(p).is_ok());
+    toggle.down = true;
+    // /b's write evicts /a's dirty block; its write-back times out: parked.
+    ASSERT_TRUE(client.write(p, "/b", 0, b).is_ok());
+    ASSERT_TRUE(client.flush(p).is_ok());
+    EXPECT_EQ(proxy.pending_writebacks(), 1u);
+    ASSERT_TRUE(client.write(p, "/a", 8_KiB, patch).is_ok());
+    ASSERT_TRUE(client.flush(p).is_ok());
+    client.drop_caches();
+    auto got = client.read(p, "/a", 0, 32_KiB);
+    ASSERT_TRUE(got.is_ok());
+    EXPECT_EQ(blob::content_hash(**got), blob::content_hash(*want.snapshot()));
+    toggle.down = false;
+    ASSERT_TRUE(proxy.signal_reconnect(p).is_ok());
+    ASSERT_TRUE(proxy.signal_write_back(p).is_ok());
+  });
+  EXPECT_EQ(f.kernel.failed_processes(), 0) << f.kernel.failed_names_joined();
+  EXPECT_EQ(blob::content_hash(**f.fs.get_file("/exports/a")),
+            blob::content_hash(*want.snapshot()));
+}
 
 // Regression for degraded attr staleness: attrs served from the cache while
 // the upstream is down used to linger until their TTL lapsed — with a long

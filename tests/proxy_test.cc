@@ -525,6 +525,59 @@ TEST(AsyncWriteback, HonestCommitFlushesStagedBlocksWhenAbsorptionOff) {
             blob::content_hash(*content));
 }
 
+// Answers the next UNSTABLE WRITE with NFS3ERR_IO instead of forwarding it.
+struct FailOneFlushWriteChannel final : rpc::RpcChannel {
+  explicit FailOneFlushWriteChannel(rpc::RpcChannel& in) : inner(in) {}
+  rpc::RpcChannel& inner;
+  bool armed = false;
+  rpc::RpcReply call(sim::Process& p, const rpc::RpcCall& c) override {
+    if (armed && c.proc == static_cast<u32>(nfs::Proc::kWrite)) {
+      auto a = rpc::message_cast<nfs::WriteArgs>(c.args);
+      if (a && a->stable == nfs::StableHow::kUnstable) {
+        armed = false;
+        auto res = std::make_shared<nfs::WriteRes>();
+        res->status = nfs::NfsStat::kIo;
+        return rpc::make_reply(c, res);
+      }
+    }
+    return inner.call(p, c);
+  }
+};
+
+TEST(AsyncWriteback, FailedFlushWriteRequeuesInsteadOfDroppingData) {
+  // A flush WRITE answered with an NFS error (not a transport error) must
+  // not lose the file's dirty blocks: they already left the block cache, so
+  // the flusher is the only holder. The failure surfaces once, and the next
+  // signal lands the bytes.
+  ProxyFixture f;
+  FailOneFlushWriteChannel flaky(f.tunnel);
+  cache::ProxyDiskCache cache(f.client_disk, ProxyFixture::small_cache_cfg());
+  ProxyConfig pcfg = ProxyFixture::make_client_proxy_cfg();
+  pcfg.async_writeback = true;
+  GvfsProxy proxy(pcfg, flaky);
+  proxy.attach_block_cache(cache);
+  rpc::LinkChannel loop(proxy, nullptr, nullptr, 15 * kMicrosecond);
+  nfs::NfsClient client(loop, ProxyFixture::make_cred(), ProxyFixture::make_client_cfg());
+
+  auto content = blob::make_synthetic(24, 128_KiB, 0, 2.0);
+  ASSERT_TRUE(f.server_fs.put_file("/exports/f", blob::make_zero(128_KiB)).is_ok());
+  f.kernel.run_process("t", [&](sim::Process& p) {
+    ASSERT_OK(client.mount(p, "/exports"));
+    ASSERT_OK(client.write(p, "/f", 0, content));
+    ASSERT_OK(client.flush(p));
+    flaky.armed = true;
+    EXPECT_FALSE(proxy.signal_write_back(p).is_ok());
+    EXPECT_EQ(cache.dirty_blocks(), 0u);
+    EXPECT_EQ(proxy.pending_flush_blocks(), 4u);  // requeued, not dropped
+    ASSERT_OK(proxy.signal_write_back(p));
+    EXPECT_EQ(proxy.pending_flush_blocks(), 0u);
+    EXPECT_EQ(proxy.flush_commits(), 1u);
+  });
+  EXPECT_EQ(f.kernel.failed_processes(), 0) << f.kernel.failed_names_joined();
+  EXPECT_EQ(blob::content_hash(**f.server_fs.get_file("/exports/f")),
+            blob::content_hash(*content));
+}
+
 TEST(SingleFlight, ConcurrentSameBlockMissesShareOneUpstreamFetch) {
   ProxyFixture f;
   // Shared cache proxy with single-flight on; two downstream clients mount
