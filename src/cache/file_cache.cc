@@ -90,28 +90,30 @@ std::optional<u64> FileCache::cached_size(u64 file_key) const {
   return it->second->content ? it->second->content->size() : 0;
 }
 
+Status FileCache::write_back(sim::Process& p, u64 file_key) {
+  auto it = map_.find(file_key);
+  if (it == map_.end() || !it->second->dirty) return Status::ok();
+  if (upload_) {
+    // Copy the content handle before the yields (re-read from the cache
+    // disk, then upload); the entry may be invalidated meanwhile.
+    blob::BlobRef content = it->second->content;
+    disk_.access(p, content ? content->size() : 4_KiB, sim::Locality::kSequential);
+    GVFS_RETURN_IF_ERROR(upload_(p, file_key, content));
+    it = map_.find(file_key);
+    if (it == map_.end()) return Status::ok();
+  }
+  it->second->dirty = false;
+  return Status::ok();
+}
+
 Status FileCache::write_back_all(sim::Process& p) {
-  // Snapshot the dirty keys first: the upload below yields, and a concurrent
-  // invalidate would unlink the very list node the range-for is parked on.
+  // Snapshot the dirty keys first: the upload yields, and a concurrent
+  // invalidate would unlink the very list node a range-for is parked on.
   std::vector<u64> dirty_keys;
   for (const Entry& e : lru_) {
     if (e.dirty) dirty_keys.push_back(e.key);
   }
-  for (u64 key : dirty_keys) {
-    auto it = map_.find(key);
-    if (it == map_.end() || !it->second->dirty) continue;
-    if (upload_) {
-      // Copy the content handle before the yields (re-read from the cache
-      // disk, then upload); the entry may be invalidated meanwhile.
-      blob::BlobRef content = it->second->content;
-      disk_.access(p, content ? content->size() : 4_KiB,
-                   sim::Locality::kSequential);
-      GVFS_RETURN_IF_ERROR(upload_(p, key, content));
-      it = map_.find(key);
-      if (it == map_.end()) continue;
-    }
-    it->second->dirty = false;
-  }
+  for (u64 key : dirty_keys) GVFS_RETURN_IF_ERROR(write_back(p, key));
   return Status::ok();
 }
 

@@ -50,7 +50,9 @@ class FileCache {
 
   [[nodiscard]] std::optional<u64> cached_size(u64 file_key) const;
 
-  // Middleware signals.
+  // Middleware signals: upload one file's dirty copy (a no-op when it is
+  // clean or not cached), or every dirty copy, most recently used first.
+  Status write_back(sim::Process& p, u64 file_key);
   Status write_back_all(sim::Process& p);
   void invalidate(u64 file_key);
   void invalidate_all();

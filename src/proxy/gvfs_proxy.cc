@@ -23,6 +23,8 @@ constexpr u32 kFlushMaxAttempts = 3;
 // partitioned holder lapses before the contender gives up.
 constexpr SimDuration kLeaseRetryDelay = 500 * kMillisecond;
 constexpr u32 kLeaseMaxRetries = 128;
+// Write verifier of every COMMIT this proxy acknowledges locally ("gvfs").
+constexpr u64 kLocalCommitVerifier = 0x67766673;
 
 rpc::MessagePtr write_args(const Fh& fh, const DirtyLog::Extent& x, nfs::StableHow how) {
   auto a = std::make_shared<nfs::WriteArgs>();
@@ -32,6 +34,24 @@ rpc::MessagePtr write_args(const Fh& fh, const DirtyLog::Extent& x, nfs::StableH
   a->stable = how;
   a->data = x.data;
   return a;
+}
+
+// A WRITE acknowledged locally (absorbed, or parked for replay): reported
+// FILE_SYNC, as the proxy now owns the bytes' durability.
+rpc::RpcReply local_write_reply(const rpc::RpcCall& call, u32 count,
+                                std::optional<vfs::Attr> attr) {
+  auto res = std::make_shared<nfs::WriteRes>();
+  res->count = count;
+  res->committed = nfs::StableHow::kFileSync;
+  res->attr.attr = std::move(attr);
+  return rpc::make_reply(call, res);
+}
+
+rpc::RpcReply local_commit_reply(const rpc::RpcCall& call, std::optional<vfs::Attr> attr) {
+  auto res = std::make_shared<nfs::CommitRes>();
+  res->attr.attr = std::move(attr);
+  res->verifier = kLocalCommitVerifier;
+  return rpc::make_reply(call, res);
 }
 
 }  // namespace
@@ -106,13 +126,27 @@ Result<rpc::MessagePtr> GvfsProxy::upstream_call_(sim::Process& p, Proc proc,
                                                   const rpc::Credential& cred) {
   calls_forwarded_.inc();
   rpc::RpcReply reply = upstream_.call(p, nfs_call_(proc, std::move(args), cred));
-  if (!reply.status.is_ok()) {
-    if (reply.status.code() == ErrCode::kTimeout) note_upstream_timeout_(p.now());
-    return reply.status;
-  }
-  // First success after an outage: reconnect, replaying what was parked.
-  if (upstream_down_) (void)replay_parked_(p);
+  note_reply_(p, reply.status);
+  if (!reply.status.is_ok()) return reply.status;
   return reply.result;
+}
+
+void GvfsProxy::note_reply_(sim::Process& p, const Status& st) {
+  if (st.code() == ErrCode::kTimeout && cfg_.degraded_mode && !upstream_down_) {
+    upstream_down_ = true;  // an outage opens
+    outage_started_ = p.now();
+  } else if (st.is_ok() && upstream_down_) {
+    // First success after an outage: reconnect, replaying what was parked.
+    (void)replay_parked_(p);
+  }
+}
+
+bool GvfsProxy::parks_(const Status& st) const {
+  return cfg_.degraded_mode && (st.code() == ErrCode::kTimeout || upstream_down_);
+}
+
+void GvfsProxy::park_(u64 key, const DirtyLog::Extent& x) {
+  (log_.park(key, x) ? coalesced_writebacks_ : queued_writebacks_).inc();
 }
 
 template <typename Res>
@@ -132,11 +166,7 @@ rpc::RpcReply GvfsProxy::forward_(sim::Process& p, const rpc::RpcCall& call) {
   calls_forwarded_.inc();
   if (tracer_) tracer_->annotate(&p, cfg_.name, "forward", p.now());
   rpc::RpcReply reply = upstream_.call(p, fwd);
-  if (reply.status.code() == ErrCode::kTimeout) {
-    note_upstream_timeout_(p.now());
-  } else if (reply.status.is_ok() && upstream_down_) {
-    (void)replay_parked_(p);
-  }
+  note_reply_(p, reply.status);
   reply.xid = call.xid;
   return reply;
 }
@@ -155,8 +185,7 @@ void GvfsProxy::remember_attr_(const Fh& fh, const vfs::Attr& a, SimTime now) {
   if (auto it = attr_cache_.find(key); it != attr_cache_.end()) {
     it->second = CachedAttr{a, now + cfg_.attr_ttl, ++attr_tick_};
   } else {
-    if (cfg_.attr_cache_entries > 0 &&
-        attr_cache_.size() >= cfg_.attr_cache_entries) {
+    if (attr_cache_.size() >= cfg_.attr_cache_entries) {
       // Bounded attr cache: evict the least-recently-touched entry. Linear
       // scan — eviction only runs past the (large) bound, and ticks are
       // unique, so the minimum is well defined and hash order cannot leak
@@ -167,6 +196,7 @@ void GvfsProxy::remember_attr_(const Fh& fh, const vfs::Attr& a, SimTime now) {
       for (auto it2 = attr_cache_.begin(); it2 != attr_cache_.end(); ++it2) {
         if (it2->second.lru_tick < victim->second.lru_tick) victim = it2;
       }
+      // gvfs-lint: allow(per-file-drop) capacity eviction of the coldest attr, not a file drop
       attr_cache_.erase(victim);
       attr_evictions_.inc();
     }
@@ -192,27 +222,22 @@ const meta::MetaFile* GvfsProxy::meta_for_(sim::Process& p, const Fh& fh,
   auto hit = metas_.find(key);
   if (hit != metas_.end()) return &hit->second;
   if (meta_negative_.count(key) != 0) return nullptr;
-  auto parent = parents_.find(key);
-  if (parent == parents_.end()) {
+  auto none = [&]() -> const meta::MetaFile* {
     meta_negative_.insert(key);
     return nullptr;
-  }
+  };
+  auto parent = parents_.find(key);
+  if (parent == parents_.end()) return none();
 
   // Probe for "<dir>/.<name>.gvfsmeta" upstream.
   auto largs = std::make_shared<nfs::LookupArgs>();
   largs->dir = parent->second.dir;
   largs->name = meta::MetaFile::meta_name_for(parent->second.name);
   auto lres = upstream_as_<nfs::LookupRes>(p, Proc::kLookup, largs, cred);
-  if (!lres.is_ok() || (*lres)->status != NfsStat::kOk) {
-    meta_negative_.insert(key);
-    return nullptr;
-  }
+  if (!lres.is_ok() || (*lres)->status != NfsStat::kOk) return none();
   Fh meta_fh = (*lres)->fh;
   u64 meta_size = (*lres)->obj_attr.attr ? (*lres)->obj_attr.attr->size : 0;
-  if (meta_size == 0 || meta_size > 64_MiB) {
-    meta_negative_.insert(key);
-    return nullptr;
-  }
+  if (meta_size == 0 || meta_size > 64_MiB) return none();
 
   // Read the whole (small) meta-data file over the block channel.
   blob::ExtentStore content;
@@ -224,8 +249,7 @@ const meta::MetaFile* GvfsProxy::meta_for_(sim::Process& p, const Fh& fh,
     rargs->count = static_cast<u32>(std::min<u64>(cfg_.fetch_block, meta_size - off));
     auto rres = upstream_as_<nfs::ReadRes>(p, Proc::kRead, rargs, cred);
     if (!rres.is_ok() || (*rres)->status != NfsStat::kOk || (*rres)->count == 0) {
-      meta_negative_.insert(key);
-      return nullptr;
+      return none();
     }
     content.write_blob(off, (*rres)->data, 0, (*rres)->count);
     off += (*rres)->count;
@@ -234,12 +258,9 @@ const meta::MetaFile* GvfsProxy::meta_for_(sim::Process& p, const Fh& fh,
   auto parsed = meta::MetaFile::parse(*content.snapshot());
   if (!parsed.is_ok()) {
     GVFS_WARN("proxy") << cfg_.name << ": malformed meta-data file ignored";
-    meta_negative_.insert(key);
-    return nullptr;
+    return none();
   }
-  auto [it, inserted] = metas_.emplace(key, std::move(parsed).value());
-  (void)inserted;
-  return &it->second;
+  return &metas_.emplace(key, std::move(parsed).value()).first->second;
 }
 
 // ------------------------------------------------------------ block cache --
@@ -443,13 +464,13 @@ Status GvfsProxy::cache_writeback_(sim::Process& p, const cache::BlockId& id,
     // just the first timeout — retries during an outage can surface other
     // transport errors) parks the block: it is leaving the cache, so the
     // log is the only place its data survives.
-    if (cfg_.degraded_mode &&
-        (res.code() == ErrCode::kTimeout || upstream_down_)) {
-      (log_.park(id.file_key, x) ? coalesced_writebacks_ : queued_writebacks_).inc();
-      return Status::ok();
-    }
-    return res.status();
+    if (!parks_(res.status())) return res.status();
+    park_(id.file_key, x);
+    return Status::ok();
   }
+  // A removed file has nothing left to write to: its bytes are dropped (the
+  // frame goes clean) and the write-back goes on to other files.
+  if ((*res)->status == NfsStat::kStale) return Status::ok();
   if ((*res)->status != NfsStat::kOk) return err((*res)->status, "writeback write");
   if ((*res)->attr.attr) remember_attr_(fh, *(*res)->attr.attr, p.now());
   return Status::ok();
@@ -487,14 +508,17 @@ Status GvfsProxy::push_file_(sim::Process& p, u64 key) {
   const std::vector<DirtyLog::Extent> q = log_.take(key);
   // A failed push loses nothing. Mid-outage transport errors park the
   // extents: uncommitted UNSTABLE data on an unreachable server counts as
-  // lost, and FILE_SYNC replay restores durability on reconnect. Any other
-  // failure requeues them for the next push (blocks staged since win).
+  // lost, and FILE_SYNC replay restores durability on reconnect. A file
+  // removed upstream has nothing left to write to: its extents are dropped
+  // and the push goes on. Any other failure requeues them for the next push
+  // (blocks staged since win).
   auto fail = [&](const Status& st, bool transport) {
-    if (transport && cfg_.degraded_mode &&
-        (st.code() == ErrCode::kTimeout || upstream_down_)) {
-      for (const auto& x : q) {
-        (log_.park(key, x) ? coalesced_writebacks_ : queued_writebacks_).inc();
-      }
+    if (transport && parks_(st)) {
+      for (const auto& x : q) park_(key, x);
+      return Status::ok();
+    }
+    if (!transport && st.code() == ErrCode::kStale) {
+      for (const auto& x : q) log_.settle(key, x);
       return Status::ok();
     }
     for (const auto& x : q) log_.requeue(key, x);
@@ -519,7 +543,7 @@ Status GvfsProxy::push_file_(sim::Process& p, u64 key) {
       for (std::size_t ri = 0; ri < replies.size(); ++ri) {
         const rpc::RpcReply& reply = replies[ri];
         if (!reply.status.is_ok()) {
-          if (reply.status.code() == ErrCode::kTimeout) note_upstream_timeout_(p.now());
+          note_reply_(p, reply.status);
           return fail(reply.status, /*transport=*/true);
         }
         auto res = rpc::message_cast<nfs::WriteRes>(reply.result);
@@ -566,14 +590,6 @@ Status GvfsProxy::push_file_(sim::Process& p, u64 key) {
 
 // ---------------------------------------------------------- degraded mode --
 
-void GvfsProxy::note_upstream_timeout_(SimTime now) {
-  if (!cfg_.degraded_mode) return;
-  if (!upstream_down_) {
-    upstream_down_ = true;
-    outage_started_ = now;
-  }
-}
-
 Status GvfsProxy::replay_parked_(sim::Process& p) {
   if (replaying_ || (!upstream_down_ && log_.count(DirtyLog::State::kParked) == 0)) {
     return Status::ok();
@@ -611,7 +627,8 @@ Status GvfsProxy::replay_parked_(sim::Process& p) {
   // coalesce and park extents while it blocks. Replay oldest stamp first
   // (so a newer overlapping write lands last on the server), and unpark an
   // extent only if its stamp is unchanged — a concurrent coalesce re-stamped
-  // it, and the newer bytes deserve their own replay.
+  // it, and the newer bytes deserve their own replay. An extent of a file
+  // removed upstream is dropped: it has nothing left to land on.
   Status st = Status::ok();
   while (auto w = log_.oldest_parked()) {
     auto res = upstream_as_<nfs::WriteRes>(
@@ -622,11 +639,12 @@ Status GvfsProxy::replay_parked_(sim::Process& p) {
       st = res.status();
       break;
     }
-    if ((*res)->status != NfsStat::kOk) {
+    if ((*res)->status == NfsStat::kOk) {
+      replayed_writebacks_.inc();
+    } else if ((*res)->status != NfsStat::kStale) {
       st = err((*res)->status, "replay write");
       break;
     }
-    replayed_writebacks_.inc();
     log_.unpark(w->file, w->extent);
   }
   replaying_ = false;
@@ -659,44 +677,27 @@ Status GvfsProxy::revalidate_stale_attrs_(sim::Process& p) {
     auto fh_it = key_to_fh_.find(k);
     if (fh_it == key_to_fh_.end()) continue;
     const nfs::Fh fh = fh_it->second;  // copy: the GETATTR below yields
-    std::optional<vfs::Attr> old;
-    if (auto it = attr_cache_.find(k); it != attr_cache_.end()) old = it->second.attr;
+    u64 old_size = 0;
+    if (auto it = attr_cache_.find(k); it != attr_cache_.end()) old_size = it->second.attr.size;
 
     auto gargs = std::make_shared<nfs::GetattrArgs>();
     gargs->fh = fh;
     auto gres = upstream_as_<nfs::GetattrRes>(p, Proc::kGetattr, gargs, session_cred_);
     if (!gres.is_ok()) return gres.status();
     if ((*gres)->status != NfsStat::kOk) {
-      // The file vanished during the outage: drop every local trace.
-      if (block_cache_ != nullptr) block_cache_->invalidate_file(k);
-      if (file_cache_ != nullptr) file_cache_->invalidate(k);
-      attr_cache_.erase(k);
-      attr_gauge_sync_();
-      size_override_.erase(k);
+      forget_file_(k);  // the file vanished during the outage
       continue;
     }
     const vfs::Attr fresh = (*gres)->attr.a;
     attr_revalidations_.inc();
-    const u64 old_size = old ? old->size : 0;
     if (fresh.size < old_size) {
       // A remote truncate happened mid-outage: cached frames and staged
-      // sizes describe the pre-outage file. Push any locally dirtied blocks
-      // first (last-writer-wins, same promise replay makes), then drop.
-      if (block_cache_ != nullptr) {
-        sync_drain_ = true;
-        Status st = block_cache_->write_back_file(p, k);
-        if (st.is_ok()) st = push_queued_(p);
-        sync_drain_ = false;
-        GVFS_RETURN_IF_ERROR(st);
-        block_cache_->invalidate_file(k);
-      }
-      if (file_cache_ != nullptr) file_cache_->invalidate(k);
-      size_override_.erase(k);
-      profiles_.erase(k);
-      // The write-back above may have re-extended the file; trust a fresh
-      // probe next time rather than the pre-flush answer.
-      attr_cache_.erase(k);
-      attr_gauge_sync_();
+      // sizes describe the pre-outage file. Push any locally dirtied bytes
+      // first (last-writer-wins, same promise replay makes), then forget
+      // the file; the push may have re-extended it, so the next access
+      // probes its attrs afresh.
+      GVFS_RETURN_IF_ERROR(write_back_(p, k));
+      forget_file_(k);
       continue;
     }
     remember_attr_(fh, fresh, p.now());
@@ -789,34 +790,31 @@ rpc::RpcReply GvfsProxy::handle_recall_(sim::Process& p, const rpc::RpcCall& cal
   recalls_served_.inc();
   if (tracer_) tracer_->annotate(&p, cfg_.name, "lease_recall", p.now());
 
-  // Flush the file's dirty state through the existing write-back machinery,
-  // then drop every cached copy: the contender may write the moment our
-  // reply lands, so anything kept here would go stale silently.
-  bool flushed = true;
-  if (block_cache_ != nullptr) {
-    sync_drain_ = true;
-    Status st = block_cache_->write_back_file(p, key);
-    if (st.is_ok()) st = push_queued_(p);
-    sync_drain_ = false;
-    if (!st.is_ok()) flushed = false;
-    block_cache_->invalidate_file(key);
-  }
-  if (file_cache_ != nullptr && file_cache_->contains(key)) {
-    Status st = file_cache_->write_back_all(p);
-    if (!st.is_ok()) flushed = false;
-    file_cache_->invalidate(key);
-  }
-  attr_cache_.erase(key);
-  attr_gauge_sync_();
-  size_override_.erase(key);
-  profiles_.erase(key);
+  // Write the file's dirty state back, then drop every cached copy: the
+  // contender may write the moment our reply lands, so anything kept here
+  // would go stale silently.
+  res->flushed = write_back_(p, key).is_ok();
+  forget_file_(key);
   held_leases_.erase(key);
-  res->status = NfsStat::kOk;
-  res->flushed = flushed;
   return rpc::make_reply(call, res);
 }
 
 // ---------------------------------------------------------------- handlers --
+
+void GvfsProxy::learn_(const Fh& dir, const std::string& name, const Fh& fh,
+                       const std::optional<vfs::Attr>& attr, SimTime now) {
+  parents_[fh.key()] = ParentLink{dir, name};
+  key_to_fh_[fh.key()] = fh;
+  if (attr) remember_attr_(fh, *attr, now);
+}
+
+template <typename Args>
+rpc::RpcReply GvfsProxy::typed_(sim::Process& p, const rpc::RpcCall& call,
+                               Handler<Args> h) {
+  auto a = rpc::message_cast<Args>(call.args);
+  if (!a) return forward_(p, call);
+  return (this->*h)(p, call, *a);
+}
 
 rpc::RpcReply GvfsProxy::handle(sim::Process& p, const rpc::RpcCall& call) {
   calls_received_.inc();
@@ -833,31 +831,11 @@ rpc::RpcReply GvfsProxy::handle(sim::Process& p, const rpc::RpcCall& call) {
   if (call.prog != rpc::kNfsProgram) return forward_(p, call);
 
   switch (static_cast<Proc>(call.proc)) {
-    case Proc::kRead: {
-      auto a = rpc::message_cast<nfs::ReadArgs>(call.args);
-      if (!a) break;
-      return handle_read_(p, call, *a);
-    }
-    case Proc::kWrite: {
-      auto a = rpc::message_cast<nfs::WriteArgs>(call.args);
-      if (!a) break;
-      return handle_write_(p, call, *a);
-    }
-    case Proc::kGetattr: {
-      auto a = rpc::message_cast<nfs::GetattrArgs>(call.args);
-      if (!a) break;
-      return handle_getattr_(p, call, *a);
-    }
-    case Proc::kCommit: {
-      auto a = rpc::message_cast<nfs::CommitArgs>(call.args);
-      if (!a) break;
-      return handle_commit_(p, call, *a);
-    }
-    case Proc::kSetattr: {
-      auto a = rpc::message_cast<nfs::SetattrArgs>(call.args);
-      if (!a) break;
-      return handle_setattr_(p, call, *a);
-    }
+    case Proc::kRead: return typed_(p, call, &GvfsProxy::handle_read_);
+    case Proc::kWrite: return typed_(p, call, &GvfsProxy::handle_write_);
+    case Proc::kGetattr: return typed_(p, call, &GvfsProxy::handle_getattr_);
+    case Proc::kCommit: return typed_(p, call, &GvfsProxy::handle_commit_);
+    case Proc::kSetattr: return typed_(p, call, &GvfsProxy::handle_setattr_);
     case Proc::kLookup: {
       // Forward, but learn the namespace so meta-data probing can find the
       // companion file later.
@@ -869,9 +847,7 @@ rpc::RpcReply GvfsProxy::handle(sim::Process& p, const rpc::RpcCall& call) {
       if (a && reply.status.is_ok()) {
         if (auto res = rpc::message_cast<nfs::LookupRes>(reply.result);
             res && res->status == NfsStat::kOk) {
-          parents_[res->fh.key()] = ParentLink{a->dir, a->name};
-          key_to_fh_[res->fh.key()] = res->fh;
-          if (res->obj_attr.attr) remember_attr_(res->fh, *res->obj_attr.attr, p.now());
+          learn_(a->dir, a->name, res->fh, res->obj_attr.attr, p.now());
         }
       } else if (a && cfg_.degraded_mode &&
                  reply.status.code() == ErrCode::kTimeout) {
@@ -885,9 +861,7 @@ rpc::RpcReply GvfsProxy::handle(sim::Process& p, const rpc::RpcCall& call) {
       if (a && reply.status.is_ok()) {
         if (auto res = rpc::message_cast<nfs::CreateRes>(reply.result);
             res && res->status == NfsStat::kOk) {
-          parents_[res->fh.key()] = ParentLink{a->dir, a->name};
-          key_to_fh_[res->fh.key()] = res->fh;
-          if (res->attr.attr) remember_attr_(res->fh, *res->attr.attr, p.now());
+          learn_(a->dir, a->name, res->fh, res->attr.attr, p.now());
         }
       }
       return reply;
@@ -1056,17 +1030,12 @@ rpc::RpcReply GvfsProxy::handle_write_(sim::Process& p, const rpc::RpcCall& call
   if (cfg_.dedup_blocks) dedup_written_.insert(key);
 
   if (cfg_.enable_leases) {
+    // During a partition degraded mode still absorbs/queues the write — the
+    // replay path re-acquires the lease (fencing) before anything heads
+    // upstream. Outside degraded mode a write without a lease would silently
+    // break the multi-writer contract, so it fails loudly.
     Status ls = ensure_lease_(p, a.fh, nfs::LeaseMode::kWrite, cred);
-    if (!ls.is_ok()) {
-      // During a partition degraded mode still absorbs/queues the write —
-      // the replay path re-acquires the lease (fencing) before anything
-      // heads upstream. Outside degraded mode a write without a lease would
-      // silently break the multi-writer contract, so it fails loudly.
-      if (!(cfg_.degraded_mode &&
-            (ls.code() == ErrCode::kTimeout || upstream_down_))) {
-        return rpc::make_error_reply(call, ls);
-      }
-    }
+    if (!ls.is_ok() && !parks_(ls)) return rpc::make_error_reply(call, ls);
   }
 
   // Writes to a file served by the file channel update the whole-file cache
@@ -1078,15 +1047,12 @@ rpc::RpcReply GvfsProxy::handle_write_(sim::Process& p, const rpc::RpcCall& call
     if (tracer_) tracer_->annotate(&p, cfg_.name, "write_absorbed", p.now());
     size_override_[key] = std::max(effective_size_(a.fh, cached_attr_(a.fh, p.now())),
                                    a.offset + a.count);
-    auto res = std::make_shared<nfs::WriteRes>();
-    res->count = a.count;
-    res->committed = nfs::StableHow::kFileSync;
-    if (auto attr = cached_attr_(a.fh, p.now())) {
+    auto attr = cached_attr_(a.fh, p.now());
+    if (attr) {
       attr->size = size_override_[key];
       attr->mtime = p.now();
-      res->attr.attr = *attr;
     }
-    return rpc::make_reply(call, res);
+    return local_write_reply(call, a.count, attr);
   }
 
   if (block_cache_ == nullptr) return forward_(p, call);
@@ -1098,22 +1064,20 @@ rpc::RpcReply GvfsProxy::handle_write_(sim::Process& p, const rpc::RpcCall& call
     if (reply.status.is_ok()) {
       if (auto res = rpc::message_cast<nfs::WriteRes>(reply.result);
           res && res->status == NfsStat::kOk) {
+        // gvfs-lint: allow(per-file-drop) write-through coherence: only the clean frames go
         block_cache_->invalidate_file(key);
         if (res->attr.attr) remember_attr_(a.fh, *res->attr.attr, p.now());
         size_override_.erase(key);
       }
     } else if (cfg_.degraded_mode && reply.status.code() == ErrCode::kTimeout) {
       // Degraded write-through: acknowledge locally, queue for replay.
-      const DirtyLog::Extent x{a.offset, a.data, log_.next_stamp()};
-      (log_.park(key, x) ? coalesced_writebacks_ : queued_writebacks_).inc();
+      park_(key, DirtyLog::Extent{a.offset, a.data, log_.next_stamp()});
+      // gvfs-lint: allow(per-file-drop) clean frames would shadow the parked bytes; attrs stay for degraded reads
       block_cache_->invalidate_file(key);
       size_override_[key] =
           std::max(effective_size_(a.fh, cached_attr_(a.fh, p.now())),
                    a.offset + a.count);
-      auto res = std::make_shared<nfs::WriteRes>();
-      res->count = a.count;
-      res->committed = nfs::StableHow::kFileSync;
-      return rpc::make_reply(call, res);
+      return local_write_reply(call, a.count, std::nullopt);
     }
     return reply;
   }
@@ -1163,17 +1127,12 @@ rpc::RpcReply GvfsProxy::handle_write_(sim::Process& p, const rpc::RpcCall& call
   writes_absorbed_.inc();
   if (tracer_) tracer_->annotate(&p, cfg_.name, "write_absorbed", p.now());
 
-  auto res = std::make_shared<nfs::WriteRes>();
-  res->count = a.count;
-  res->committed = nfs::StableHow::kFileSync;
   if (attr) {
-    vfs::Attr out = *attr;
-    out.size = size_override_[key];
-    out.mtime = p.now();
-    remember_attr_(a.fh, out, p.now());
-    res->attr.attr = out;
+    attr->size = size_override_[key];
+    attr->mtime = p.now();
+    remember_attr_(a.fh, *attr, p.now());
   }
-  return rpc::make_reply(call, res);
+  return local_write_reply(call, a.count, attr);
 }
 
 rpc::RpcReply GvfsProxy::handle_getattr_(sim::Process& p, const rpc::RpcCall& call,
@@ -1183,28 +1142,20 @@ rpc::RpcReply GvfsProxy::handle_getattr_(sim::Process& p, const rpc::RpcCall& ca
   if (!attr && cfg_.degraded_mode && upstream_down_) attr = stale_attr_(a.fh);
   if (!attr) {
     rpc::RpcReply reply = forward_(p, call);
-    if (!reply.status.is_ok()) {
-      if (cfg_.degraded_mode && reply.status.code() == ErrCode::kTimeout) {
-        if (auto stale = stale_attr_(a.fh)) {
-          auto res = std::make_shared<nfs::GetattrRes>();
-          res->attr.a = *stale;
-          res->attr.a.size = effective_size_(a.fh, stale);
-          return rpc::make_reply(call, res);
-        }
-      }
-      return reply;
-    }
-    auto res = rpc::message_cast<nfs::GetattrRes>(reply.result);
-    if (!res || res->status != NfsStat::kOk) return reply;
-    vfs::Attr out = res->attr.a;
-    remember_attr_(a.fh, out, p.now());
-    u64 size = effective_size_(a.fh, out);
-    if (size != out.size) {
+    if (reply.status.is_ok()) {
+      auto res = rpc::message_cast<nfs::GetattrRes>(reply.result);
+      if (!res || res->status != NfsStat::kOk) return reply;
+      remember_attr_(a.fh, res->attr.a, p.now());
+      u64 size = effective_size_(a.fh, res->attr.a);
+      if (size == res->attr.a.size) return reply;
       auto patched = std::make_shared<nfs::GetattrRes>(*res);
       patched->attr.a.size = size;
       return rpc::make_reply(call, patched);
     }
-    return reply;
+    if (cfg_.degraded_mode && reply.status.code() == ErrCode::kTimeout) {
+      attr = stale_attr_(a.fh);
+    }
+    if (!attr) return reply;
   }
   auto res = std::make_shared<nfs::GetattrRes>();
   res->attr.a = *attr;
@@ -1214,22 +1165,19 @@ rpc::RpcReply GvfsProxy::handle_getattr_(sim::Process& p, const rpc::RpcCall& ca
 
 rpc::RpcReply GvfsProxy::handle_commit_(sim::Process& p, const rpc::RpcCall& call,
                                         const nfs::CommitArgs& a) {
-  bool write_back_mode =
+  const bool write_back_mode =
       block_cache_ != nullptr &&
       block_cache_->config().policy == cache::WritePolicy::kWriteBack;
-  bool file_cached = file_cache_ != nullptr && file_cache_->contains(a.fh.key());
-  if (cfg_.absorb_commit && (write_back_mode || file_cached)) {
-    auto res = std::make_shared<nfs::CommitRes>();
-    if (auto attr = cached_attr_(a.fh, p.now())) res->attr.attr = *attr;
-    res->verifier = 0x67766673ULL;
-    return rpc::make_reply(call, res);
+  const bool staged_here =
+      write_back_mode || (file_cache_ != nullptr && file_cache_->contains(a.fh.key()));
+  if (staged_here && cfg_.absorb_commit) {
+    return local_commit_reply(call, cached_attr_(a.fh, p.now()));
   }
-  if (write_back_mode && !cfg_.absorb_commit) {
-    // Honest COMMIT: the client asked for durability, so dirty blocks staged
-    // in the cache (and, under async write-back, in the dirty-extent log) must
-    // reach the server before the COMMIT is forwarded.
-    Status st = block_cache_->write_back_file(p, a.fh.key());
-    if (st.is_ok()) st = push_queued_(p);
+  if (staged_here) {
+    // Honest COMMIT: the client asked for durability, so bytes staged here
+    // (cache frames, the dirty-extent log, the whole-file copy) must reach
+    // the server before the COMMIT is forwarded.
+    Status st = write_back_(p, a.fh.key());
     if (!st.is_ok()) return rpc::make_error_reply(call, st);
   }
   rpc::RpcReply reply = forward_(p, call);
@@ -1237,10 +1185,7 @@ rpc::RpcReply GvfsProxy::handle_commit_(sim::Process& p, const rpc::RpcCall& cal
     // The data this COMMIT covers is parked for replay; acknowledging it
     // locally is the same promise write-back mode makes (replayed durable on
     // reconnect).
-    auto res = std::make_shared<nfs::CommitRes>();
-    if (auto attr = stale_attr_(a.fh)) res->attr.attr = *attr;
-    res->verifier = 0x67766673ULL;
-    return rpc::make_reply(call, res);
+    return local_commit_reply(call, stale_attr_(a.fh));
   }
   return reply;
 }
@@ -1249,15 +1194,17 @@ rpc::RpcReply GvfsProxy::handle_setattr_(sim::Process& p, const rpc::RpcCall& ca
                                          const nfs::SetattrArgs& a) {
   u64 key = a.fh.key();
   if (a.sattr.sa.set_size) {
-    // Truncation: staged data past the new EOF must not survive, and the
-    // file's read-ahead window no longer describes cached blocks.
+    // Truncation: bytes acknowledged before it land first (the server then
+    // cuts what lies past the new EOF), and only then is the file's cached
+    // state forgotten. Forgetting first would lose acked writes below the
+    // new EOF and let logged ones past it re-extend the file later.
     if (cfg_.dedup_blocks) dedup_written_.insert(key);  // fp table now stale
-    if (block_cache_ != nullptr) block_cache_->invalidate_file(key);
-    if (file_cache_ != nullptr) file_cache_->invalidate(key);
-    size_override_.erase(key);
-    attr_cache_.erase(key);
-    attr_gauge_sync_();
-    profiles_.erase(key);
+    Status st = write_back_(p, key);
+    // Parked bytes replay on the next upstream success, which would be this
+    // SETATTR's own, after the cut: replay them first.
+    if (st.is_ok() && upstream_down_) st = replay_parked_(p);
+    if (!st.is_ok()) return rpc::make_error_reply(call, st);
+    forget_file_(key);
   }
   rpc::RpcReply reply = forward_(p, call);
   if (reply.status.is_ok()) {
@@ -1269,6 +1216,37 @@ rpc::RpcReply GvfsProxy::handle_setattr_(sim::Process& p, const rpc::RpcCall& ca
   return reply;
 }
 
+// ------------------------------------------------ write back / forget a file --
+
+Status GvfsProxy::write_back_(sim::Process& p, std::optional<u64> key) {
+  if (block_cache_ != nullptr) {
+    // Durability is wanted now: drain inline instead of racing a background
+    // flusher (sync_drain_ suppresses spawns from the stages and evictions
+    // the cache write-back triggers).
+    sync_drain_ = true;
+    Status st = key ? block_cache_->write_back_file(p, *key) : block_cache_->write_back_all(p);
+    if (st.is_ok()) st = push_queued_(p);
+    sync_drain_ = false;
+    GVFS_RETURN_IF_ERROR(st);
+  }
+  if (file_cache_ == nullptr) return Status::ok();
+  return key ? file_cache_->write_back(p, *key) : file_cache_->write_back_all(p);
+}
+
+// The one place a file's cached state is dropped; gvfs_lint (per-file-drop)
+// flags these calls anywhere else in this file.
+void GvfsProxy::forget_file_(u64 key) {
+  // gvfs-lint: allow(per-file-drop) forget_file_
+  if (block_cache_ != nullptr) block_cache_->invalidate_file(key);
+  // gvfs-lint: allow(per-file-drop) forget_file_
+  if (file_cache_ != nullptr) file_cache_->invalidate(key);
+  // gvfs-lint: allow(per-file-drop) forget_file_
+  attr_cache_.erase(key);
+  attr_gauge_sync_();
+  size_override_.erase(key);
+  profiles_.erase(key);
+}
+
 // ------------------------------------------------------ middleware signals --
 
 Status GvfsProxy::signal_reconnect(sim::Process& p) {
@@ -1276,22 +1254,7 @@ Status GvfsProxy::signal_reconnect(sim::Process& p) {
   return revalidate_stale_attrs_(p);
 }
 
-Status GvfsProxy::signal_write_back(sim::Process& p) {
-  if (block_cache_ != nullptr) {
-    // The middleware wants durability now: drain inline instead of racing a
-    // background flusher (sync_drain_ suppresses spawns from the evictions
-    // write_back_all triggers).
-    sync_drain_ = true;
-    Status st = block_cache_->write_back_all(p);
-    if (st.is_ok()) st = push_queued_(p);
-    sync_drain_ = false;
-    GVFS_RETURN_IF_ERROR(st);
-  }
-  if (file_cache_ != nullptr) {
-    GVFS_RETURN_IF_ERROR(file_cache_->write_back_all(p));
-  }
-  return Status::ok();
-}
+Status GvfsProxy::signal_write_back(sim::Process& p) { return write_back_(p, std::nullopt); }
 
 void GvfsProxy::drop_soft_state() {
   attr_cache_.clear();
@@ -1306,19 +1269,10 @@ void GvfsProxy::drop_soft_state() {
 }
 
 Status GvfsProxy::signal_flush(sim::Process& p) {
-  GVFS_RETURN_IF_ERROR(signal_write_back(p));
+  GVFS_RETURN_IF_ERROR(write_back_(p, std::nullopt));
   if (block_cache_ != nullptr) block_cache_->invalidate_all();
   if (file_cache_ != nullptr) file_cache_->invalidate_all();
-  attr_cache_.clear();
-  attr_gauge_sync_();
-  stale_served_.clear();
-  size_override_.clear();
-  metas_.clear();
-  meta_negative_.clear();
-  // Everything cached was just invalidated: a profile's read-ahead window
-  // refers to blocks that no longer exist, so reset it or the refill guard
-  // degrades the next session to synchronous single-block misses.
-  profiles_.clear();
+  drop_soft_state();
   return Status::ok();
 }
 

@@ -96,8 +96,8 @@ struct ProxyConfig {
   // Identity presented on LEASE_ACQUIRE and matched by server recalls.
   u64 lease_client_id = 0;
 
-  // Bound on attr_cache_ entries; the least-recently-touched entry is
-  // evicted past it. 0 = unbounded (pre-fix behavior, tests only).
+  // Bound on attr_cache_ entries (at least 1); the least-recently-touched
+  // entry is evicted past it.
   u32 attr_cache_entries = 8192;
 };
 
@@ -248,8 +248,18 @@ class GvfsProxy final : public rpc::RpcHandler {
   Result<std::shared_ptr<const Res>> upstream_as_(sim::Process& p, nfs::Proc proc,
                                                   rpc::MessagePtr args,
                                                   const rpc::Credential& cred);
+  // Every upstream reply passes here: a timeout opens an outage (degraded
+  // mode), the first success after one replays what was parked.
+  void note_reply_(sim::Process& p, const Status& st);
 
   // -- request handlers ------------------------------------------------------
+  template <typename Args>
+  using Handler = rpc::RpcReply (GvfsProxy::*)(sim::Process&, const rpc::RpcCall&,
+                                               const Args&);
+  // Decode the call's args as `Args` and run `h`; undecodable args are
+  // forwarded as they came.
+  template <typename Args>
+  rpc::RpcReply typed_(sim::Process& p, const rpc::RpcCall& call, Handler<Args> h);
   rpc::RpcReply handle_read_(sim::Process& p, const rpc::RpcCall& call,
                              const nfs::ReadArgs& a);
   rpc::RpcReply handle_write_(sim::Process& p, const rpc::RpcCall& call,
@@ -291,6 +301,15 @@ class GvfsProxy final : public rpc::RpcHandler {
   Status cache_writeback_(sim::Process& p, const cache::BlockId& id,
                           const blob::BlobRef& data);
 
+  // -- one file's (or every file's) cached state -----------------------------
+  // Write back dirty bytes inline: cache frames into the log (or straight
+  // upstream), every queued file, then the whole-file copy. nullopt = all.
+  // The only setter of sync_drain_: no background flusher races the push.
+  Status write_back_(sim::Process& p, std::optional<u64> key);
+  // Drop the file's cache frames, whole-file copy, attrs, staged size and
+  // access profile. Write back first whatever must survive.
+  void forget_file_(u64 key);
+
   // -- dirty-extent log traffic ---------------------------------------------
   void maybe_spawn_flusher_(sim::Process& p);
   // Push every queued file, first queued first. Re-entrant: a file's
@@ -306,8 +325,10 @@ class GvfsProxy final : public rpc::RpcHandler {
   Status replay_parked_(sim::Process& p);
 
   // -- degraded mode ---------------------------------------------------------
-  // Record an upstream timeout (opens an outage).
-  void note_upstream_timeout_(SimTime now);
+  // A write-back failing with `st` parks its bytes for replay: degraded mode,
+  // mid-outage (or the timeout that opens one).
+  [[nodiscard]] bool parks_(const Status& st) const;
+  void park_(u64 key, const DirtyLog::Extent& x);
   // Attribute lookup ignoring the TTL (stale is better than nothing while
   // the upstream is unreachable). Keys served during an outage are recorded
   // in stale_served_ for the reconnect-time re-probe.
@@ -320,6 +341,10 @@ class GvfsProxy final : public rpc::RpcHandler {
   [[nodiscard]] std::shared_ptr<nfs::LookupRes> degraded_lookup_(
       const nfs::LookupArgs& a);
 
+  // Learn a LOOKUP / CREATE answer: parent link (meta-data probing, degraded
+  // lookups), handle and attrs.
+  void learn_(const nfs::Fh& dir, const std::string& name, const nfs::Fh& fh,
+              const std::optional<vfs::Attr>& attr, SimTime now);
   [[nodiscard]] std::optional<vfs::Attr> cached_attr_(const nfs::Fh& fh,
                                                       SimTime now);
   void remember_attr_(const nfs::Fh& fh, const vfs::Attr& a, SimTime now);
@@ -374,7 +399,7 @@ class GvfsProxy final : public rpc::RpcHandler {
 
   // ---- async write-back flusher state --------------------------------------
   bool flusher_active_ = false;
-  bool sync_drain_ = false;  // signal_write_back drains inline; don't spawn
+  bool sync_drain_ = false;  // write_back_ drains inline; don't spawn
   metrics::Counter flush_enqueued_;
   metrics::Counter flush_unstable_writes_;
   metrics::Counter flush_commits_;

@@ -1357,6 +1357,44 @@ TEST(WritebackParking, PartialWriteIntoParkedBlockKeepsParkedBytes) {
             blob::content_hash(*want.snapshot()));
 }
 
+// Bytes parked mid-outage replay on the first upstream success. A truncate
+// arriving once the link healed (the proxy not yet told) used to be that
+// success: the parked blocks past the new EOF landed after the cut and
+// re-extended the file.
+TEST(WritebackParking, TruncateReplaysParkedBytesBeforeTheCut) {
+  MiniProxyStack f;
+  ToggleOutageChannel toggle(f.link);
+  cache::ProxyDiskCache cache(f.client_disk, MiniProxyStack::cache_cfg());
+  proxy::ProxyConfig pcfg;
+  pcfg.name = "degraded-proxy";
+  pcfg.enable_meta = false;
+  pcfg.degraded_mode = true;
+  proxy::GvfsProxy proxy(pcfg, toggle);
+  proxy.attach_block_cache(cache);
+  rpc::LinkChannel loop(proxy, nullptr, nullptr, 15 * kMicrosecond);
+  nfs::NfsClient client(loop, MiniProxyStack::cred(), MiniProxyStack::client_cfg());
+
+  auto content = blob::make_synthetic(95, 64_KiB, 0, 2.0);
+  ASSERT_TRUE(f.fs.put_file("/exports/f", blob::make_zero(64_KiB)).is_ok());
+  f.kernel.run_process("t", [&](sim::Process& p) {
+    ASSERT_TRUE(client.mount(p, "/exports").is_ok());
+    ASSERT_TRUE(client.write(p, "/f", 0, content).is_ok());
+    ASSERT_TRUE(client.flush(p).is_ok());
+    toggle.down = true;
+    ASSERT_TRUE(proxy.signal_write_back(p).is_ok());
+    EXPECT_EQ(proxy.pending_writebacks(), 2u);
+    toggle.down = false;
+    ASSERT_TRUE(client.truncate(p, "/f", 32_KiB).is_ok());
+    ASSERT_TRUE(proxy.signal_reconnect(p).is_ok());
+    EXPECT_EQ(proxy.pending_writebacks(), 0u);
+    EXPECT_FALSE(proxy.upstream_down());
+  });
+  EXPECT_EQ(f.kernel.failed_processes(), 0) << f.kernel.failed_names_joined();
+  auto server = *f.fs.get_file("/exports/f");
+  ASSERT_EQ(server->size(), 32_KiB);
+  EXPECT_EQ(blob::content_hash(*server), blob::range_hash(*content, 0, 32_KiB));
+}
+
 // Regression for degraded attr staleness: attrs served from the cache while
 // the upstream is down used to linger until their TTL lapsed — with a long
 // TTL, a remote truncate during the outage stayed invisible long after the

@@ -292,6 +292,26 @@ TEST(LintLeaseTable, OutsideServerIsOutOfScope) {
   EXPECT_TRUE(lint_content("tests/x.cc", snippet).empty());
 }
 
+TEST(LintPerFileDrop, DropOutsideForgetFileFiresOnce) {
+  auto f = lint_content(
+      "src/proxy/gvfs_proxy.cc",
+      "void GvfsProxy::forget_file_(u64 key) {\n"
+      "  // gvfs-lint: allow(per-file-drop) forget_file_\n"
+      "  if (block_cache_ != nullptr) block_cache_->invalidate_file(key);\n"
+      "  // gvfs-lint: allow(per-file-drop) forget_file_\n"
+      "  attr_cache_.erase(key);\n"
+      "}\n"
+      "void GvfsProxy::handle_x_(u64 key) {\n"
+      "  block_cache_->invalidate_all();\n"
+      "  file_cache_->invalidate_all();\n"
+      "  file_cache_->invalidate(key);\n"
+      "}\n");
+  EXPECT_EQ(count_rule(f, "per-file-drop"), 1) << dump(f);
+  EXPECT_TRUE(lint_content("src/cache/block_cache.cc",
+                           "void f(u64 k) { block_cache_->invalidate_file(k); }\n")
+                  .empty());
+}
+
 TEST(LintHeaderGuard, MissingPragmaOnceFires) {
   auto f = lint_content("src/common/x.h", "int f();\n");
   EXPECT_EQ(count_rule(f, "header-guard"), 1) << dump(f);
@@ -676,6 +696,8 @@ TEST(LintRules, EveryRuleHasAFixtureThatFires) {
                        "void f(Frame& fr) { fr.data = nullptr; }\n"));
   collect(lint_content("src/nfs/nfs_server.cc",
                        "void f(u64 k) { leases_.erase(k); }\n"));
+  collect(lint_content("src/proxy/gvfs_proxy.cc",
+                       "void f(u64 k) { attr_cache_.erase(k); }\n"));
   // The three yield rules need a call-graph model; one snippet fires all of
   // them (stale handle, member index loop, and a held permit, each across
   // the same yield).

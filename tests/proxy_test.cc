@@ -578,6 +578,136 @@ TEST(AsyncWriteback, FailedFlushWriteRequeuesInsteadOfDroppingData) {
             blob::content_hash(*content));
 }
 
+// A truncating SETATTR used to drop the file's dirty frames before
+// forwarding: acknowledged bytes below the new EOF never reached the server.
+TEST(Proxy, TruncateWritesBackAckedBytesBelowNewEof) {
+  ProxyFixture f;
+  ASSERT_TRUE(f.server_fs.put_file("/exports/f", blob::make_zero(0)).is_ok());
+  auto content = blob::make_synthetic(26, 32_KiB, 0, 2.0);
+  f.run([&](sim::Process& p) {
+    ASSERT_OK(f.client.write(p, "/f", 0, content));
+    ASSERT_OK(f.client.flush(p));
+    ASSERT_OK(f.client.truncate(p, "/f", 64_KiB));
+    ASSERT_OK(f.client_proxy.signal_write_back(p));
+  });
+  auto server = *f.server_fs.get_file("/exports/f");
+  ASSERT_EQ(server->size(), 64_KiB);
+  EXPECT_EQ(blob::range_hash(*server, 0, 32_KiB), blob::content_hash(*content));
+  EXPECT_TRUE(server->is_zero_range(32_KiB, 32_KiB));
+}
+
+// Blocks waiting in the dirty-extent log past the new EOF used to go
+// upstream after the truncate and re-extend the file.
+TEST(AsyncWriteback, TruncateLandsQueuedExtentsBeforeCuttingTheFile) {
+  ProxyFixture f;
+  FailOneFlushWriteChannel flaky(f.tunnel);
+  cache::ProxyDiskCache cache(f.client_disk, ProxyFixture::small_cache_cfg());
+  ProxyConfig pcfg = ProxyFixture::make_client_proxy_cfg();
+  pcfg.async_writeback = true;
+  GvfsProxy proxy(pcfg, flaky);
+  proxy.attach_block_cache(cache);
+  rpc::LinkChannel loop(proxy, nullptr, nullptr, 15 * kMicrosecond);
+  nfs::NfsClient client(loop, ProxyFixture::make_cred(), ProxyFixture::make_client_cfg());
+
+  auto content = blob::make_synthetic(27, 128_KiB, 0, 2.0);
+  ASSERT_TRUE(f.server_fs.put_file("/exports/f", blob::make_zero(128_KiB)).is_ok());
+  f.kernel.run_process("t", [&](sim::Process& p) {
+    ASSERT_OK(client.mount(p, "/exports"));
+    ASSERT_OK(client.write(p, "/f", 0, content));
+    ASSERT_OK(client.flush(p));
+    flaky.armed = true;  // the push fails: all four blocks stay queued
+    EXPECT_FALSE(proxy.signal_write_back(p).is_ok());
+    ASSERT_EQ(proxy.pending_flush_blocks(), 4u);
+    ASSERT_OK(client.truncate(p, "/f", 32_KiB));
+    ASSERT_OK(proxy.signal_write_back(p));
+    EXPECT_EQ(proxy.pending_flush_blocks(), 0u);
+  });
+  EXPECT_EQ(f.kernel.failed_processes(), 0) << f.kernel.failed_names_joined();
+  auto server = *f.server_fs.get_file("/exports/f");
+  ASSERT_EQ(server->size(), 32_KiB);
+  EXPECT_EQ(blob::content_hash(*server), blob::range_hash(*content, 0, 32_KiB));
+}
+
+// A write-back WRITE answered NFS3ERR_STALE (the file was removed upstream)
+// used to abort the whole write-back, so no later signal ever landed the
+// other files' dirty bytes. Both write-back paths: a synchronous WRITE per
+// block, and the async flusher's UNSTABLE bursts.
+TEST(Proxy, WriteBackDropsRemovedFileAndLandsTheRest) {
+  for (bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async_writeback" : "sync write-back");
+    ProxyFixture f;
+    cache::ProxyDiskCache cache(f.client_disk, ProxyFixture::small_cache_cfg());
+    ProxyConfig pcfg = ProxyFixture::make_client_proxy_cfg();
+    pcfg.async_writeback = async;
+    GvfsProxy proxy(pcfg, f.tunnel);
+    proxy.attach_block_cache(cache);
+    rpc::LinkChannel loop(proxy, nullptr, nullptr, 15 * kMicrosecond);
+    nfs::NfsClient client(loop, ProxyFixture::make_cred(), ProxyFixture::make_client_cfg());
+
+    auto content = blob::make_synthetic(28, 64_KiB, 0, 2.0);
+    ASSERT_TRUE(f.server_fs.put_file("/exports/f", blob::make_zero(64_KiB)).is_ok());
+    ASSERT_TRUE(f.server_fs.put_file("/exports/g", blob::make_zero(64_KiB)).is_ok());
+    f.kernel.run_process("t", [&](sim::Process& p) {
+      ASSERT_OK(client.mount(p, "/exports"));
+      ASSERT_OK(client.write(p, "/f", 0, content));
+      ASSERT_OK(client.write(p, "/g", 0, content));
+      ASSERT_OK(client.flush(p));
+      ASSERT_OK(client.remove(p, "/f"));
+      ASSERT_OK(proxy.signal_write_back(p));
+      EXPECT_EQ(cache.dirty_blocks(), 0u);
+      EXPECT_EQ(proxy.pending_flush_blocks(), 0u);
+      ASSERT_OK(proxy.signal_write_back(p));
+    });
+    EXPECT_EQ(f.kernel.failed_processes(), 0) << f.kernel.failed_names_joined();
+    EXPECT_EQ(blob::content_hash(**f.server_fs.get_file("/exports/g")),
+              blob::content_hash(*content));
+  }
+}
+
+// A lease recall of one file used to upload every dirty whole-file copy.
+TEST(Proxy, RecallUploadsOnlyTheRecalledFilesCopy) {
+  ProxyFixture f;
+  std::vector<vfs::FileId> ids;
+  for (const char* name : {"a.vmss", "b.vmss"}) {
+    auto mem = blob::make_synthetic(29, 256_KiB, 0.5, 3.0);
+    auto id = f.server_fs.put_file(std::string("/exports/") + name, mem);
+    ASSERT_TRUE(id.is_ok());
+    ids.push_back(*id);
+    auto meta = meta::MetaFile::generate(*mem, 8_KiB, meta::file_channel_actions());
+    ASSERT_TRUE(f.server_fs
+                    .put_file(std::string("/exports/.") + name + ".gvfsmeta",
+                              meta.serialize())
+                    .is_ok());
+  }
+  const nfs::Fh a = f.server.fh_of(ids[0]);
+  const nfs::Fh b = f.server.fh_of(ids[1]);
+  f.run([&](sim::Process& p) {
+    for (const char* path : {"/a.vmss", "/b.vmss"}) {
+      ASSERT_OK(f.client.read_all(p, path));
+      ASSERT_OK(f.client.write(p, path, 0, blob::make_synthetic(30, 4_KiB, 0, 2.0)));
+    }
+    ASSERT_OK(f.client.flush(p));
+    ASSERT_TRUE(f.file_cache.contains(a.key()) && f.file_cache.contains(b.key()));
+    const u64 uploads = f.channel.uploads();
+
+    rpc::RpcCall recall;
+    recall.prog = nfs::kLeaseCallbackProgram;
+    recall.vers = nfs::kLeaseCallbackVersion;
+    recall.proc = static_cast<u32>(nfs::CallbackProc::kRecall);
+    auto args = std::make_shared<nfs::RecallArgs>();
+    args->fh = a;
+    recall.args = args;
+    rpc::RpcReply reply = f.client_proxy.handle(p, recall);
+    ASSERT_OK(reply.status);
+    auto res = rpc::message_cast<nfs::RecallRes>(reply.result);
+    ASSERT_TRUE(res);
+    EXPECT_TRUE(res->flushed);
+    EXPECT_EQ(f.channel.uploads(), uploads + 1);
+    EXPECT_FALSE(f.file_cache.contains(a.key()));
+    EXPECT_TRUE(f.file_cache.contains(b.key()));
+  });
+}
+
 TEST(SingleFlight, ConcurrentSameBlockMissesShareOneUpstreamFetch) {
   ProxyFixture f;
   // Shared cache proxy with single-flight on; two downstream clients mount

@@ -334,6 +334,33 @@ bool lease_table_scoped(const std::string& path) {
   return starts_with(path, "src/nfs/nfs_server");
 }
 
+// A client proxy drops one file's cached state in exactly one place,
+// GvfsProxy::forget_file_, which its callers reach only after writing the
+// file's dirty bytes back (write_back_). A direct frame, whole-file or attr
+// drop elsewhere can discard acknowledged writes, or forget part of a file
+// and keep the rest. forget_file_'s own sites, and the few drops that are
+// not a file drop (capacity eviction, write-through frame coherence), carry
+// a `// gvfs-lint: allow(per-file-drop)` annotation.
+const std::vector<TokenRule>& per_file_drop_rules() {
+  static const std::vector<TokenRule> kRules = [] {
+    std::vector<TokenRule> v;
+    v.push_back(
+        {"per-file-drop",
+         std::regex(
+             R"((\bblock_cache_\s*->\s*invalidate_file|\bfile_cache_\s*->\s*invalidate|\battr_cache_\s*\.\s*erase)\s*\()"),
+         "per-file cache drop outside GvfsProxy::forget_file_; write the "
+         "file back (write_back_) and forget it there, or acked bytes and "
+         "half the file's state drift apart",
+         {"invalidate", "erase"}});
+    return v;
+  }();
+  return kRules;
+}
+
+bool per_file_drop_scoped(const std::string& path) {
+  return path == "src/proxy/gvfs_proxy.cc";
+}
+
 const std::vector<TokenRule>& print_rules() {
   static const std::vector<TokenRule> kRules = [] {
     std::vector<TokenRule> v;
@@ -472,7 +499,7 @@ const std::vector<std::string>& all_rules() {
       "determinism-rng",  "determinism-clock",  "unordered-iteration",
       "stdout-print",     "raw-counter",        "header-guard",
       "cmake-registration", "cluster-factory",  "frame-data-mutation",
-      "lease-table-mutation",
+      "lease-table-mutation", "per-file-drop",
       "yield-stale-ref",  "yield-index-loop",   "yield-held-lock"};
   return kRules;
 }
@@ -508,6 +535,9 @@ std::vector<Finding> lint_content(const std::string& path,
   }
   if (lease_table_scoped(path)) {
     apply_token_rules(lease_table_rules(), code, sup, path, &out);
+  }
+  if (per_file_drop_scoped(path)) {
+    apply_token_rules(per_file_drop_rules(), code, sup, path, &out);
   }
   if (unordered_scoped(path)) {
     std::set<std::string> decls = unordered_decl_names(code);
