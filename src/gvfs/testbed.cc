@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/log.h"
 #include "vfs/prefix_session.h"
@@ -29,25 +30,23 @@ struct Testbed::Node {
   std::unique_ptr<cache::FileCache> file_cache;
   std::unique_ptr<ssh::Scp> scp;
   std::unique_ptr<meta::FileChannelClient> file_channel;
-  std::unique_ptr<ssh::SshTunnel> tunnel;
-  std::unique_ptr<rpc::FaultyChannel> faulty;  // wraps tunnel/direct when faults on
-  std::unique_ptr<rpc::RetryChannel> retry;    // retransmission layer above faults
-  std::unique_ptr<rpc::CompressChannel> compress;  // client end of the WAN pair
-  // Origin-cluster wiring: one full channel stack per origin, federated by
-  // the node's ShardRouter (which then serves as the proxy's upstream).
-  // Declared before client_proxy so the proxy's upstream outlives it.
-  std::vector<std::unique_ptr<ssh::SshTunnel>> origin_tunnels;
-  std::vector<std::unique_ptr<rpc::FaultyChannel>> origin_faulty;
-  std::vector<std::unique_ptr<rpc::RetryChannel>> origin_retry;
-  std::vector<std::unique_ptr<rpc::CompressChannel>> origin_compress;
+  // One channel stack per upstream (SharedNodeConfig::upstreams): tunnel ->
+  // FaultyChannel -> RetryChannel (fault injection only) -> CompressChannel
+  // (client end of the WAN pair). kPlainNfsWan's direct path uses faulty/
+  // retry too. Declared before client_proxy so its upstream outlives it.
+  std::vector<std::unique_ptr<ssh::SshTunnel>> tunnels;
+  std::vector<std::unique_ptr<rpc::FaultyChannel>> faulty;
+  std::vector<std::unique_ptr<rpc::RetryChannel>> retry;
+  std::vector<std::unique_ptr<rpc::CompressChannel>> compress;
+  // origin_cluster: federates the per-origin stacks as the proxy's upstream.
   std::unique_ptr<proxy::ShardRouter> router;
   std::unique_ptr<proxy::GvfsProxy> client_proxy;
-  // Lease-recall callback stacks (enable_leases): the rpc::Channel decorator
-  // chain in reverse — an SshTunnel whose handler is this node's proxy with
-  // the link pair swapped (recalls travel the server->client direction), the
-  // same FaultyChannel/RetryChannel semantics as the forward path. One stack
-  // for the single origin, one per origin in cluster mode. Declared after
-  // client_proxy: destroyed first, so they never outlive their handler.
+  // Lease-recall callback stacks (enable_leases), one per origin: the
+  // rpc::Channel decorator chain in reverse — an SshTunnel whose handler is
+  // this node's proxy with the link pair swapped (recalls travel the
+  // server->client direction), the same FaultyChannel/RetryChannel semantics
+  // as the forward path. Declared after client_proxy: destroyed first, so
+  // they never outlive their handler.
   std::vector<std::unique_ptr<ssh::SshTunnel>> cb_tunnels;
   std::vector<std::unique_ptr<rpc::FaultyChannel>> cb_faulty;
   std::vector<std::unique_ptr<rpc::RetryChannel>> cb_retry;
@@ -56,9 +55,8 @@ struct Testbed::Node {
   std::unique_ptr<nfs::NfsClient> client;
 };
 
-// One origin of the sharded, replicated image cluster: a full server-side
-// stack (fs + disk + cpu + NfsServer + loopback + id-mapping proxy), the
-// same shape build_server_side_() wires for the single-origin topologies.
+// One origin image server: fs + disk + cpu + NfsServer + loopback +
+// id-mapping proxy, plus the origin end of the compressed WAN hop.
 struct Testbed::Origin {
   std::unique_ptr<vfs::MemFs> fs;
   std::unique_ptr<sim::DiskModel> disk;
@@ -67,13 +65,18 @@ struct Testbed::Origin {
   std::unique_ptr<rpc::LinkChannel> loop;
   std::unique_ptr<proxy::GvfsProxy> proxy;
   std::unique_ptr<rpc::CompressHandler> compress;  // wire_compression only
+
+  // What a tunnel to this origin targets.
+  [[nodiscard]] rpc::RpcHandler& front() const {
+    if (compress) return *compress;
+    return *proxy;
+  }
 };
 
 namespace {
 
 // Logical user accounts: remap the grid identity onto a short-lived local
-// shadow account allocated for this session (§3.1). Shared by the single
-// origin and every cluster origin.
+// shadow account allocated for this session (§3.1). Shared by every origin.
 rpc::Credential map_shadow_cred(const rpc::Credential& in) {
   rpc::Credential out = in;
   out.uid = 500 + in.uid % 100;
@@ -94,7 +97,28 @@ rpc::CompressConfig wan_compress_cfg(const NetProfile& net, sim::CpuPool* cpu) {
 
 }  // namespace
 
+Status TestbedOptions::validate() const {
+  if (origin_cluster && (second_level_lan_cache || shared_l2_cache)) {
+    return err(ErrCode::kInval,
+               "origin_cluster cannot be combined with a LAN L2 cache "
+               "(second_level_lan_cache / shared_l2_cache)");
+  }
+  if (origin_cluster && scenario == Scenario::kPlainNfsWan) {
+    return err(ErrCode::kInval,
+               "origin_cluster needs the GVFS proxy's ShardRouter; kPlainNfsWan has none");
+  }
+  if (wire_compression && scenario == Scenario::kPlainNfsWan) {
+    return err(ErrCode::kInval,
+               "wire_compression needs a GVFS proxy at both ends; kPlainNfsWan has none");
+  }
+  return Status::ok();
+}
+
 Testbed::Testbed(TestbedOptions opt) : opt_(std::move(opt)) {
+  if (Status st = opt_.validate(); !st.is_ok()) {
+    GVFS_ERROR("testbed") << "invalid options: " << st.to_string();
+    std::abort();
+  }
   if (opt_.enable_rpc_trace) {
     tracer_ = std::make_unique<trace::RpcTracer>(opt_.trace_capacity);
     tracer_->register_metrics(registry_, "trace.");
@@ -120,36 +144,18 @@ Testbed::Testbed(TestbedOptions opt) : opt_(std::move(opt)) {
   }
 
   if (opt_.scenario != Scenario::kLocal) {
-    if (opt_.origin_cluster) {
-      build_origin_cluster_();
-    } else {
-      build_server_side_();
-    }
-    // The LAN L2 cache topologies assume the single origin; origin_cluster
-    // replaces that tier with the replicated origins themselves.
-    if (!opt_.origin_cluster &&
-        (opt_.second_level_lan_cache || opt_.shared_l2_cache)) {
-      build_lan_cache_node_();
-    }
+    build_origins_();
+    if (opt_.second_level_lan_cache || opt_.shared_l2_cache) build_lan_cache_node_();
   }
-  if (faults_ && server_) {
+  if (faults_) {
     // A crash loses the server's volatile state: page cache, the duplicate
     // request cache, and any uncommitted UNSTABLE writes — the rolled write
-    // verifier is how clients find out (RFC 1813 §3.3.7).
-    faults_->set_on_restart([this] {
-      server_->drop_caches();
-      server_->clear_drc();
-      server_->roll_write_verifier();
-      // Leases are volatile too: a rebooted server has no memory of its
-      // grants, and holders must re-acquire (the proxy fencing path).
-      server_->clear_leases();
-    });
-  }
-  if (faults_ && !origins_.empty()) {
-    // Same volatility contract per origin, keyed by server id so a crash
-    // window scoped to one replica reboots only that replica.
+    // verifier is how clients find out (RFC 1813 §3.3.7). Leases are
+    // volatile too: a rebooted server has no memory of its grants, and
+    // holders must re-acquire (the proxy fencing path). Keyed by server id,
+    // so a crash window scoped to one replica reboots only that replica.
     for (std::size_t j = 0; j < origins_.size(); ++j) {
-      faults_->set_on_restart(static_cast<int>(j), [srv = origin_server(static_cast<int>(j))] {
+      faults_->set_on_restart(static_cast<int>(j), [srv = origins_[j]->server.get()] {
         srv->drop_caches();
         srv->clear_drc();
         srv->roll_write_verifier();
@@ -184,46 +190,22 @@ std::unique_ptr<nfs::NfsServer> Testbed::make_origin_server_(vfs::MemFs& fs,
   return std::make_unique<nfs::NfsServer>(kernel_, fs, disk, scfg);
 }
 
-void Testbed::build_server_side_() {
-  image_fs_ = std::make_unique<vfs::MemFs>();
-  image_fs_->set_clock([this] { return kernel_.now(); });
-  image_disk_ = std::make_unique<sim::DiskModel>(kernel_, "image-disk", opt_.net.disk);
-  image_cpu_ = std::make_unique<sim::CpuPool>(kernel_, opt_.net.image_server_cpus);
-
-  server_ = make_origin_server_(*image_fs_, *image_disk_);
-  Status st = server_->add_export(opt_.export_path);
-  if (!st.is_ok()) GVFS_ERROR("testbed") << "export failed: " << st.to_string();
-
-  server_loop_ = std::make_unique<rpc::LinkChannel>(*server_, nullptr, nullptr,
-                                                    10 * kMicrosecond);
-  proxy::ProxyConfig spcfg;
-  spcfg.name = "server-proxy";
-  spcfg.enable_meta = false;  // server side only authenticates and maps ids
-  server_proxy_ = std::make_unique<proxy::GvfsProxy>(spcfg, *server_loop_);
-  server_proxy_->set_cred_mapper(map_shadow_cred);
-
-  server_endpoint_ = std::make_unique<meta::ServerFileChannel>(
-      *image_fs_, *image_disk_, image_cpu_.get(), opt_.net.gzip);
-
-  server_->register_metrics(registry_, "server.");
-  image_disk_->register_metrics(registry_, "server.disk.");
-  server_proxy_->register_metrics(registry_, "server_proxy.");
-  server_endpoint_->register_metrics(registry_, "server_endpoint.");
-  if (tracer_) {
-    server_->set_tracer(tracer_.get());
-    server_proxy_->set_tracer(tracer_.get());
-  }
-}
-
-void Testbed::build_origin_cluster_() {
-  u32 n = std::max<u32>(1, opt_.origin_shards);
+void Testbed::build_origins_() {
+  const bool cluster = opt_.origin_cluster;
+  const u32 n = cluster ? std::max<u32>(1, opt_.origin_shards) : 1;
   origins_.reserve(n);
   for (u32 j = 0; j < n; ++j) {
+    // The single origin keeps the paper testbed's names ("server.",
+    // "image-disk", ...); cluster origins are "origin<j>.*".
+    const std::string tag = "origin" + std::to_string(j);
+    auto id = [&](const char* single, const char* suffix) {
+      return cluster ? tag + suffix : std::string(single);
+    };
     auto o = std::make_unique<Origin>();
-    std::string tag = "origin" + std::to_string(j);
     o->fs = std::make_unique<vfs::MemFs>();
     o->fs->set_clock([this] { return kernel_.now(); });
-    o->disk = std::make_unique<sim::DiskModel>(kernel_, tag + "-disk", opt_.net.disk);
+    o->disk = std::make_unique<sim::DiskModel>(kernel_, id("image-disk", "-disk"),
+                                               opt_.net.disk);
     o->cpu = std::make_unique<sim::CpuPool>(kernel_, opt_.net.image_server_cpus);
     o->server = make_origin_server_(*o->fs, *o->disk);
     Status st = o->server->add_export(opt_.export_path);
@@ -231,19 +213,19 @@ void Testbed::build_origin_cluster_() {
     o->loop = std::make_unique<rpc::LinkChannel>(*o->server, nullptr, nullptr,
                                                  10 * kMicrosecond);
     proxy::ProxyConfig spcfg;
-    spcfg.name = tag + "-proxy";
-    spcfg.enable_meta = false;
+    spcfg.name = id("server-proxy", "-proxy");
+    spcfg.enable_meta = false;  // server side only authenticates and maps ids
     o->proxy = std::make_unique<proxy::GvfsProxy>(spcfg, *o->loop);
     o->proxy->set_cred_mapper(map_shadow_cred);
     if (opt_.wire_compression) {
       o->compress = std::make_unique<rpc::CompressHandler>(
           *o->proxy, wan_compress_cfg(opt_.net, o->cpu.get()));
-      o->compress->register_metrics(registry_, tag + ".compress.");
+      o->compress->register_metrics(registry_, id("server_compress.", ".compress."));
     }
 
-    o->server->register_metrics(registry_, tag + ".server.");
-    o->disk->register_metrics(registry_, tag + ".disk.");
-    o->proxy->register_metrics(registry_, tag + ".proxy.");
+    o->server->register_metrics(registry_, id("server.", ".server."));
+    o->disk->register_metrics(registry_, id("server.disk.", ".disk."));
+    o->proxy->register_metrics(registry_, id("server_proxy.", ".proxy."));
     if (tracer_) {
       o->server->set_tracer(tracer_.get());
       o->proxy->set_tracer(tracer_.get());
@@ -253,8 +235,9 @@ void Testbed::build_origin_cluster_() {
   // The meta/file channel reads from origin 0: .vmss meta-data is installed
   // identically everywhere and the channel is read-only, so one origin
   // serving it keeps the path simple.
+  const Origin& o0 = *origins_[0];
   server_endpoint_ = std::make_unique<meta::ServerFileChannel>(
-      *origins_[0]->fs, *origins_[0]->disk, origins_[0]->cpu.get(), opt_.net.gzip);
+      *o0.fs, *o0.disk, o0.cpu.get(), opt_.net.gzip);
   server_endpoint_->register_metrics(registry_, "server_endpoint.");
 }
 
@@ -272,20 +255,16 @@ void Testbed::build_lan_cache_node_() {
 
   // Second-level block-cache proxy on the LAN server. With wire_compression
   // the L2 -> origin tunnel is the WAN hop, so the compression pair
-  // straddles it here.
-  rpc::RpcHandler* origin_handler = server_proxy_.get();
-  if (opt_.wire_compression) {
-    lan_compress_handler_ = std::make_unique<rpc::CompressHandler>(
-        *server_proxy_, wan_compress_cfg(opt_.net, image_cpu_.get()));
-    origin_handler = lan_compress_handler_.get();
-  }
-  lan_to_origin_ = std::make_unique<ssh::SshTunnel>(*origin_handler, wan_up_.get(),
-                                                    wan_down_.get(), opt_.net.wan_cipher);
+  // straddles it here: origin 0's handler at the far end, a CompressChannel
+  // at the L2.
+  lan_to_origin_ = std::make_unique<ssh::SshTunnel>(
+      origins_[0]->front(), wan_up_.get(), wan_down_.get(), opt_.net.wan_cipher);
   rpc::RpcChannel* to_origin = lan_to_origin_.get();
   if (opt_.wire_compression) {
     lan_compress_channel_ = std::make_unique<rpc::CompressChannel>(
         *lan_to_origin_, wan_compress_cfg(opt_.net, nullptr));
     to_origin = lan_compress_channel_.get();
+    lan_compress_channel_->register_metrics(registry_, "lan_l2.compress.");
   }
   cache::BlockCacheConfig l2cfg = opt_.block_cache;
   l2cfg.dedup_blocks = opt_.dedup_blocks;
@@ -302,10 +281,6 @@ void Testbed::build_lan_cache_node_() {
 
   lan_disk_->register_metrics(registry_, "lan_l2.disk.");
   lan_scp_up_->register_metrics(registry_, "lan_l2.scp_up.");
-  if (lan_compress_handler_) {
-    lan_compress_handler_->register_metrics(registry_, "server_compress.");
-    lan_compress_channel_->register_metrics(registry_, "lan_l2.compress.");
-  }
   lan_endpoint_->register_metrics(registry_, "lan_l2.endpoint.");
   lan_to_origin_->register_metrics(registry_, "lan_l2.tunnel.");
   lan_block_cache_->register_metrics(registry_, "lan_l2.block_cache.");
@@ -327,29 +302,21 @@ void Testbed::resolve_shared_node_config_() {
   node_cfg_.cached = opt_.scenario == Scenario::kWanCached;
   bool wan = opt_.scenario != Scenario::kLan;
 
-  // Client proxy's upstream: either straight to the server-side proxy, or
-  // through the LAN second-level cache proxy (then to the origin).
-  node_cfg_.upstream = server_proxy_.get();
+  // Client proxy's upstreams: either straight to every origin, or through
+  // the LAN second-level cache proxy (then to the origin).
   node_cfg_.tun_up = wan ? wan_up_.get() : lan_up_.get();
   node_cfg_.tun_down = wan ? wan_down_.get() : lan_down_.get();
   node_cfg_.tun_cipher = wan ? opt_.net.wan_cipher : opt_.net.lan_cipher;
-  node_cfg_.via_lan = node_cfg_.cached && !opt_.origin_cluster &&
-                      (opt_.second_level_lan_cache || opt_.shared_l2_cache);
+  node_cfg_.via_lan =
+      node_cfg_.cached && (opt_.second_level_lan_cache || opt_.shared_l2_cache);
   if (node_cfg_.via_lan) {
-    node_cfg_.upstream = lan_proxy_.get();
+    node_cfg_.upstreams = {lan_proxy_.get()};
     node_cfg_.tun_up = lan_up_.get();
     node_cfg_.tun_down = lan_down_.get();
     node_cfg_.tun_cipher = opt_.net.lan_cipher;
-  }
-
-  // Client end of the compressed WAN hop: the nodes' tunnels cross the WAN
-  // directly (no LAN tier), so the origin-side CompressHandler fronts the
-  // server proxy for every node tunnel built below.
-  if (opt_.wire_compression && !opt_.origin_cluster && !node_cfg_.via_lan) {
-    server_compress_ = std::make_unique<rpc::CompressHandler>(
-        *node_cfg_.upstream, wan_compress_cfg(opt_.net, image_cpu_.get()));
-    server_compress_->register_metrics(registry_, "server_compress.");
-    node_cfg_.upstream = server_compress_.get();
+  } else {
+    node_cfg_.upstreams.reserve(origins_.size());
+    for (const auto& o : origins_) node_cfg_.upstreams.push_back(&o->front());
   }
 
   node_cfg_.proxy.fetch_block = static_cast<u32>(opt_.block_cache.block_size);
@@ -371,6 +338,21 @@ void Testbed::resolve_shared_node_config_() {
             : server_endpoint_.get();
     node_cfg_.scp_link = node_cfg_.via_lan ? lan_down_.get() : wan_down_.get();
   }
+}
+
+rpc::RpcChannel* Testbed::add_fault_layers_(Node& n, rpc::RpcChannel* chan, int server,
+                                            const std::string& metrics_prefix) {
+  if (!faults_) return chan;
+  n.faulty.push_back(std::make_unique<rpc::FaultyChannel>(*chan, *faults_, server));
+  n.retry.push_back(
+      std::make_unique<rpc::RetryChannel>(*n.faulty.back(), kernel_, opt_.retry));
+  rpc::RetryChannel& rt = *n.retry.back();
+  if (opt_.per_node_metrics) rt.register_metrics(registry_, metrics_prefix + "retry.");
+  if (tracer_) {
+    n.faulty.back()->set_tracer(tracer_.get());
+    rt.set_tracer(tracer_.get());
+  }
+  return &rt;
 }
 
 std::unique_ptr<Testbed::Node> Testbed::build_node_(int index) {
@@ -397,107 +379,60 @@ std::unique_ptr<Testbed::Node> Testbed::build_node_(int index) {
   cred.machine = tag;
 
   if (opt_.scenario == Scenario::kPlainNfsWan) {
-    node->direct = std::make_unique<rpc::LinkChannel>(*server(), wan_up_.get(),
+    node->direct = std::make_unique<rpc::LinkChannel>(*origins_[0]->server, wan_up_.get(),
                                                       wan_down_.get(),
                                                       30 * kMicrosecond);
-    rpc::RpcChannel* chan = node->direct.get();
-    if (faults_) {
-      node->faulty = std::make_unique<rpc::FaultyChannel>(*chan, *faults_);
-      node->retry =
-          std::make_unique<rpc::RetryChannel>(*node->faulty, kernel_, opt_.retry);
-      chan = node->retry.get();
-      if (metrics_on) node->retry->register_metrics(registry_, tag + ".retry.");
-      if (tracer_) {
-        node->faulty->set_tracer(tracer_.get());
-        node->retry->set_tracer(tracer_.get());
-      }
-    }
+    rpc::RpcChannel* chan = add_fault_layers_(*node, node->direct.get(), 0, tag + ".");
     node->client = std::make_unique<nfs::NfsClient>(*chan, cred, node_cfg_.client);
     if (metrics_on) node->client->register_metrics(registry_, tag + ".client.");
     if (tracer_) node->client->set_tracer(tracer_.get());
     return node;
   }
 
+  // One channel stack per upstream, all sharing the same WAN/LAN pipes: the
+  // tunnel, then (fault injection) the injector and the retransmission layer
+  // the proxy talks through NFS-client-style, then the client end of the
+  // compressed WAN hop — outermost, so retransmitted calls resend the
+  // already-wrapped message without re-paying gzip CPU. Behind a LAN tier
+  // the nodes' tunnels stay uncompressed: the pair straddles the L2 ->
+  // origin tunnel instead. The FaultyChannel carries the origin id so crash
+  // windows scoped to one replica (sim::FaultWindow::server) hit only its
+  // stack; with origin_cluster the node's ShardRouter federates the stacks.
+  const bool cluster = opt_.origin_cluster;
+  const bool compress = opt_.wire_compression && !node_cfg_.via_lan;
+  const std::size_t n_up = node_cfg_.upstreams.size();
+  node->tunnels.reserve(n_up);
+  if (faults_) {
+    node->faulty.reserve(n_up);
+    node->retry.reserve(n_up);
+  }
+  if (compress) node->compress.reserve(n_up);
+  std::vector<rpc::RpcChannel*> chans;
+  if (cluster) chans.reserve(n_up);
   rpc::RpcChannel* upstream_chan = nullptr;
-  if (opt_.origin_cluster) {
-    // One full channel stack per origin (tunnel -> faults -> retry), all
-    // sharing the same WAN/LAN pipes, federated by the node's ShardRouter.
-    // The FaultyChannel carries the origin id so crash windows scoped to one
-    // replica (sim::FaultWindow::server) hit only its stack.
-    std::vector<rpc::RpcChannel*> chans;
-    chans.reserve(origins_.size());
-    for (std::size_t j = 0; j < origins_.size(); ++j) {
-      std::string otag = tag + ".origin" + std::to_string(j);
-      rpc::RpcHandler& origin_handler =
-          origins_[j]->compress
-              ? static_cast<rpc::RpcHandler&>(*origins_[j]->compress)
-              : static_cast<rpc::RpcHandler&>(*origins_[j]->proxy);
-      auto tun = std::make_unique<ssh::SshTunnel>(origin_handler,
-                                                  node_cfg_.tun_up,
-                                                  node_cfg_.tun_down,
-                                                  node_cfg_.tun_cipher);
-      rpc::RpcChannel* chan = tun.get();
-      if (metrics_on) tun->register_metrics(registry_, otag + ".tunnel.");
-      node->origin_tunnels.push_back(std::move(tun));
-      if (faults_) {
-        auto fy = std::make_unique<rpc::FaultyChannel>(
-            *chan, *faults_, static_cast<int>(j));
-        auto rt = std::make_unique<rpc::RetryChannel>(*fy, kernel_, opt_.retry);
-        chan = rt.get();
-        if (metrics_on) rt->register_metrics(registry_, otag + ".retry.");
-        if (tracer_) {
-          fy->set_tracer(tracer_.get());
-          rt->set_tracer(tracer_.get());
-        }
-        node->origin_faulty.push_back(std::move(fy));
-        node->origin_retry.push_back(std::move(rt));
-      }
-      if (opt_.wire_compression) {
-        auto cc = std::make_unique<rpc::CompressChannel>(
-            *chan, wan_compress_cfg(opt_.net, nullptr));
-        chan = cc.get();
-        if (metrics_on) cc->register_metrics(registry_, otag + ".compress.");
-        node->origin_compress.push_back(std::move(cc));
-      }
-      chans.push_back(chan);
+  for (std::size_t j = 0; j < n_up; ++j) {
+    const std::string stag = cluster ? tag + ".origin" + std::to_string(j) + "." : tag + ".";
+    node->tunnels.push_back(std::make_unique<ssh::SshTunnel>(
+        *node_cfg_.upstreams[j], node_cfg_.tun_up, node_cfg_.tun_down,
+        node_cfg_.tun_cipher));
+    if (metrics_on) node->tunnels.back()->register_metrics(registry_, stag + "tunnel.");
+    upstream_chan = add_fault_layers_(*node, node->tunnels.back().get(),
+                                      static_cast<int>(j), stag);
+    if (compress) {
+      node->compress.push_back(std::make_unique<rpc::CompressChannel>(
+          *upstream_chan, wan_compress_cfg(opt_.net, nullptr)));
+      upstream_chan = node->compress.back().get();
+      if (metrics_on) node->compress.back()->register_metrics(registry_, stag + "compress.");
     }
+    if (cluster) chans.push_back(upstream_chan);
+  }
+  if (cluster) {
     proxy::ShardRouterConfig rcfg = opt_.shard_router;
     rcfg.name = tag + "-router";
     rcfg.replicas = opt_.origin_replicas;
     node->router = std::make_unique<proxy::ShardRouter>(std::move(chans), rcfg);
     if (metrics_on) node->router->register_metrics(registry_, tag + ".router.");
     upstream_chan = node->router.get();
-  } else {
-    node->tunnel = std::make_unique<ssh::SshTunnel>(
-        *node_cfg_.upstream, node_cfg_.tun_up, node_cfg_.tun_down,
-        node_cfg_.tun_cipher);
-
-    // The proxy's upstream channel: with fault injection enabled the tunnel
-    // is wrapped in the injector (drops/partitions/crashes) and the proxy
-    // talks through the retransmission layer, NFS-client-style.
-    upstream_chan = node->tunnel.get();
-    if (metrics_on) node->tunnel->register_metrics(registry_, tag + ".tunnel.");
-    if (faults_) {
-      node->faulty = std::make_unique<rpc::FaultyChannel>(*node->tunnel, *faults_);
-      node->retry =
-          std::make_unique<rpc::RetryChannel>(*node->faulty, kernel_, opt_.retry);
-      upstream_chan = node->retry.get();
-      if (metrics_on) node->retry->register_metrics(registry_, tag + ".retry.");
-      if (tracer_) {
-        node->faulty->set_tracer(tracer_.get());
-        node->retry->set_tracer(tracer_.get());
-      }
-    }
-    // Client end of the compressed WAN hop (outermost, so retransmitted
-    // calls resend the already-wrapped message without re-paying gzip CPU).
-    // With a LAN tier the nodes' tunnels stay uncompressed — the pair
-    // straddles the L2 -> origin tunnel instead.
-    if (opt_.wire_compression && !node_cfg_.via_lan) {
-      node->compress = std::make_unique<rpc::CompressChannel>(
-          *upstream_chan, wan_compress_cfg(opt_.net, nullptr));
-      upstream_chan = node->compress.get();
-      if (metrics_on) node->compress->register_metrics(registry_, tag + ".compress.");
-    }
   }
 
   proxy::ProxyConfig pcfg = node_cfg_.proxy;
@@ -509,16 +444,16 @@ std::unique_ptr<Testbed::Node> Testbed::build_node_(int index) {
   if (tracer_) node->client_proxy->set_tracer(tracer_.get());
 
   if (opt_.enable_leases) {
-    // Reverse callback stacks: recalls cross the same shared links in the
-    // server->client direction (tunnel handler = this node's proxy, link
-    // pair swapped) and pick up the same fault/retry semantics as the
-    // forward path. Recall retransmission is bounded — a partitioned holder
-    // must lapse at its lease expiry, not pin a server recall fiber forever.
+    // Reverse callback stacks, one per origin: recalls cross the same shared
+    // links in the server->client direction (tunnel handler = this node's
+    // proxy, link pair swapped) and pick up the same fault/retry semantics
+    // as the forward path. Recall retransmission is bounded — a partitioned
+    // holder must lapse at its lease expiry, not pin a server recall fiber
+    // forever.
     rpc::RetryConfig cbretry = opt_.retry;
     if (cbretry.max_retransmits == 0) cbretry.max_retransmits = 4;
     const u64 client_id = static_cast<u64>(index) + 1;
-    const std::size_t stacks = opt_.origin_cluster ? origins_.size() : 1;
-    for (std::size_t j = 0; j < stacks; ++j) {
+    for (std::size_t j = 0; j < origins_.size(); ++j) {
       auto tun = std::make_unique<ssh::SshTunnel>(
           *node->client_proxy, node_cfg_.tun_down, node_cfg_.tun_up,
           node_cfg_.tun_cipher);
@@ -532,11 +467,7 @@ std::unique_ptr<Testbed::Node> Testbed::build_node_(int index) {
         node->cb_faulty.push_back(std::move(fy));
         node->cb_retry.push_back(std::move(rt));
       }
-      if (opt_.origin_cluster) {
-        origins_[j]->server->set_lease_callback(client_id, chan);
-      } else if (server_) {
-        server_->set_lease_callback(client_id, chan);
-      }
+      origins_[j]->server->set_lease_callback(client_id, chan);
     }
   }
 
@@ -571,25 +502,28 @@ std::unique_ptr<Testbed::Node> Testbed::build_node_(int index) {
 
 vfs::MemFs& Testbed::image_fs() {
   if (opt_.scenario == Scenario::kLocal) return *nodes_.at(0)->fs;
-  return opt_.origin_cluster ? *origins_.at(0)->fs : *image_fs_;
+  return *origins_.at(0)->fs;
+}
+
+std::vector<vfs::MemFs*> Testbed::image_stores_() {
+  if (opt_.scenario == Scenario::kLocal) return {nodes_.at(0)->fs.get()};
+  std::vector<vfs::MemFs*> out;
+  out.reserve(origins_.size());
+  for (const auto& o : origins_) out.push_back(o->fs.get());
+  return out;
 }
 
 nfs::NfsServer* Testbed::server() {
-  return opt_.origin_cluster ? origins_.at(0)->server.get() : server_.get();
+  return origins_.empty() ? nullptr : origins_[0]->server.get();
 }
 
-u32 Testbed::origin_count() const {
-  if (opt_.origin_cluster) return static_cast<u32>(origins_.size());
-  return server_ ? 1 : 0;
-}
+u32 Testbed::origin_count() const { return static_cast<u32>(origins_.size()); }
 
 nfs::NfsServer* Testbed::origin_server(int j) {
-  if (!opt_.origin_cluster) return server_.get();
   return origins_.at(static_cast<std::size_t>(j))->server.get();
 }
 
 vfs::MemFs& Testbed::origin_fs(int j) {
-  if (!opt_.origin_cluster) return *image_fs_;
   return *origins_.at(static_cast<std::size_t>(j))->fs;
 }
 
@@ -604,27 +538,15 @@ u32 Testbed::meta_fp_block_size_() const {
 }
 
 Result<vm::VmImagePaths> Testbed::install_image(const vm::VmImageSpec& spec) {
-  if (opt_.origin_cluster && opt_.scenario != Scenario::kLocal) {
-    // Every origin gets the identical install, in identical order, so the
-    // FileId spaces stay aligned across replicas.
-    for (auto& o : origins_) {
-      GVFS_ASSIGN_OR_RETURN(vm::VmImagePaths sp,
-                            vm::install_image(*o->fs, image_dir(), spec));
-      if (opt_.generate_image_meta) {
-        GVFS_RETURN_IF_ERROR(vm::generate_vmss_metadata(
-            *o->fs, sp, 8_KiB, true, meta_fp_block_size_(),
-            opt_.block_cache.dedup_seed));
-      }
+  // Install at the export path of every image store, in identical order...
+  for (vfs::MemFs* fs : image_stores_()) {
+    GVFS_ASSIGN_OR_RETURN(vm::VmImagePaths server_paths,
+                          vm::install_image(*fs, image_dir(), spec));
+    if (opt_.scenario != Scenario::kLocal && opt_.generate_image_meta) {
+      GVFS_RETURN_IF_ERROR(vm::generate_vmss_metadata(
+          *fs, server_paths, 8_KiB, true, meta_fp_block_size_(),
+          opt_.block_cache.dedup_seed));
     }
-    return vm::VmImagePaths{"", spec.name};
-  }
-  // Install at the server-side export path...
-  GVFS_ASSIGN_OR_RETURN(vm::VmImagePaths server_paths,
-                        vm::install_image(image_fs(), image_dir(), spec));
-  if (opt_.scenario != Scenario::kLocal && opt_.generate_image_meta) {
-    GVFS_RETURN_IF_ERROR(vm::generate_vmss_metadata(
-        image_fs(), server_paths, 8_KiB, true, meta_fp_block_size_(),
-        opt_.block_cache.dedup_seed));
   }
   // ...but hand back mount-relative paths: every image_session() (NFS client
   // or the kLocal prefix view) is rooted at the export directory.
@@ -633,14 +555,10 @@ Result<vm::VmImagePaths> Testbed::install_image(const vm::VmImageSpec& spec) {
 
 Status Testbed::put_image_file(const std::string& rel_path,
                                const blob::BlobRef& data) {
-  if (opt_.origin_cluster && opt_.scenario != Scenario::kLocal) {
-    for (auto& o : origins_) {
-      GVFS_RETURN_IF_ERROR(
-          o->fs->put_file(opt_.export_path + rel_path, data).status());
-    }
-    return Status::ok();
+  for (vfs::MemFs* fs : image_stores_()) {
+    GVFS_RETURN_IF_ERROR(fs->put_file(opt_.export_path + rel_path, data).status());
   }
-  return image_fs().put_file(opt_.export_path + rel_path, data).status();
+  return Status::ok();
 }
 
 Status Testbed::mount(sim::Process& p, int node) {
@@ -684,8 +602,6 @@ void Testbed::drop_all_caches() {
     if (n->file_cache) n->file_cache->invalidate_all();
     n->local->drop_caches();
   }
-  if (server_) server_->drop_caches();
-  if (server_proxy_) server_proxy_->drop_soft_state();
   for (auto& o : origins_) {
     o->server->drop_caches();
     o->proxy->drop_soft_state();
@@ -706,23 +622,16 @@ Status Testbed::prewarm_lan_cache(sim::Process& p, const vm::VmImagePaths& image
 Status Testbed::refresh_image_metadata(sim::Process& p, const vm::VmImagePaths& image) {
   if (opt_.scenario == Scenario::kLocal) return Status::ok();
   vm::VmImagePaths server_paths{opt_.export_path, image.name};
-  // The scan streams the state file off the server disk (zero-map pass).
+  // The scan streams the state file off origin 0's disk (zero-map pass)...
   GVFS_ASSIGN_OR_RETURN(blob::BlobRef vmss, image_fs().get_file(server_paths.vmss()));
-  sim::DiskModel& disk =
-      opt_.origin_cluster ? *origins_.at(0)->disk : *image_disk_;
-  disk.access(p, vmss->size(), sim::Locality::kSequential);
-  if (opt_.origin_cluster) {
-    // Regenerate on every origin so the meta stays replica-identical.
-    for (auto& o : origins_) {
-      GVFS_RETURN_IF_ERROR(vm::generate_vmss_metadata(
-          *o->fs, server_paths, 8_KiB, true, meta_fp_block_size_(),
-          opt_.block_cache.dedup_seed));
-    }
-    return Status::ok();
+  origins_[0]->disk->access(p, vmss->size(), sim::Locality::kSequential);
+  // ...and regenerates on every origin so the meta stays replica-identical.
+  for (vfs::MemFs* fs : image_stores_()) {
+    GVFS_RETURN_IF_ERROR(vm::generate_vmss_metadata(*fs, server_paths, 8_KiB, true,
+                                                    meta_fp_block_size_(),
+                                                    opt_.block_cache.dedup_seed));
   }
-  return vm::generate_vmss_metadata(image_fs(), server_paths, 8_KiB, true,
-                                    meta_fp_block_size_(),
-                                    opt_.block_cache.dedup_seed);
+  return Status::ok();
 }
 
 nfs::NfsClient* Testbed::nfs_client(int node) {
@@ -742,7 +651,10 @@ cache::FileCache* Testbed::file_cache(int node) {
 }
 
 rpc::RetryChannel* Testbed::retry_channel(int node) {
-  return nodes_.at(static_cast<std::size_t>(node))->retry.get();
+  const Node& n = *nodes_.at(static_cast<std::size_t>(node));
+  // A cluster node has one retry layer per origin and no single one to name.
+  if (opt_.origin_cluster || n.retry.empty()) return nullptr;
+  return n.retry.front().get();
 }
 
 namespace {
@@ -768,11 +680,7 @@ std::string Testbed::metrics_json() const {
   u64 timeouts = 0;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     const Node& n = *nodes_[i];
-    if (n.retry) {
-      retransmits += n.retry->retransmits();
-      timeouts += n.retry->timeouts();
-    }
-    for (const auto& rt : n.origin_retry) {
+    for (const auto& rt : n.retry) {
       retransmits += rt->retransmits();
       timeouts += rt->timeouts();
     }

@@ -94,9 +94,9 @@ struct TestbedOptions {
   // R-quorum UNSTABLE WRITE + COMMIT with a combined write verifier, and
   // crash-failover + journal resync. Off by default — topology and bench
   // stdout are byte-identical to the single-origin build. Not combinable
-  // with the LAN L2 cache topologies. Install files with install_image() /
-  // put_image_file(); writing one origin's fs directly would desync its
-  // replicas.
+  // with the LAN L2 cache topologies or kPlainNfsWan (validate()). Install
+  // files with install_image() / put_image_file(); writing one origin's fs
+  // directly would desync its replicas.
   bool origin_cluster = false;
   u32 origin_shards = 2;    // N origin servers (also the shard count)
   u32 origin_replicas = 1;  // R-way replication, chained declustering
@@ -136,6 +136,12 @@ struct TestbedOptions {
   // O(nodes x instruments), and the storm reads only server/link aggregates
   // plus its own per-node resume timings.
   bool per_node_metrics = true;
+
+  // Rejects option combinations Testbed cannot build (origin_cluster with a
+  // LAN L2 cache or kPlainNfsWan; wire_compression with kPlainNfsWan). The
+  // Testbed constructor aborts on an error rather than silently dropping a
+  // requested tier.
+  [[nodiscard]] Status validate() const;
 };
 
 class Testbed {
@@ -190,8 +196,9 @@ class Testbed {
   [[nodiscard]] cache::ProxyDiskCache* block_cache(int node = 0);
   [[nodiscard]] cache::FileCache* file_cache(int node = 0);
   // The (first) origin server; with origin_cluster on this is origin 0.
+  // Null for kLocal.
   [[nodiscard]] nfs::NfsServer* server();
-  // ---- origin-cluster observability (origin_cluster topologies) ------------
+  // ---- origin tier: one origin, or origin_shards of them -------------------
   [[nodiscard]] u32 origin_count() const;
   [[nodiscard]] nfs::NfsServer* origin_server(int j);
   [[nodiscard]] vfs::MemFs& origin_fs(int j);
@@ -237,20 +244,31 @@ class Testbed {
     sim::Link* tun_up = nullptr;
     sim::Link* tun_down = nullptr;
     ssh::CipherSpec tun_cipher;
-    rpc::RpcHandler* upstream = nullptr;
+    // What each node's tunnels target: {lan_proxy} behind an L2, otherwise
+    // one handler per origin. A node's stack to upstreams[j] carries fault
+    // server id j.
+    std::vector<rpc::RpcHandler*> upstreams;
     meta::RemoteFileEndpoint* endpoint = nullptr;
     sim::Link* scp_link = nullptr;
   };
 
-  void build_server_side_();
-  void build_origin_cluster_();
+  // The origin tier: one origin for the single-origin topologies,
+  // origin_shards of them with origin_cluster.
+  void build_origins_();
   void build_lan_cache_node_();
   void resolve_shared_node_config_();
   std::unique_ptr<Node> build_node_(int index);
+  // Wraps `chan` in the fault injector (crash windows scoped to `server`)
+  // and the retransmission layer above it, owned by `n`; returns the
+  // outermost channel (`chan` itself when fault injection is off).
+  rpc::RpcChannel* add_fault_layers_(Node& n, rpc::RpcChannel* chan, int server,
+                                     const std::string& metrics_prefix);
+  // Where images live: node 0's local fs for kLocal, else every origin's fs
+  // in origin order (identical install order keeps FileIds aligned).
+  [[nodiscard]] std::vector<vfs::MemFs*> image_stores_();
   // The cluster factory: the single sanctioned NfsServer construction site
   // in topology code (enforced by the gvfs-lint cluster-factory rule), so
-  // every topology — single origin or cluster — gets identical server
-  // config and restart wiring.
+  // every origin gets identical server config.
   std::unique_ptr<nfs::NfsServer> make_origin_server_(vfs::MemFs& fs,
                                                       sim::DiskModel& disk);
   // Fingerprint-table geometry for generated .vmss meta-data: the proxy
@@ -266,21 +284,14 @@ class Testbed {
   metrics::Registry registry_;
   std::unique_ptr<trace::RpcTracer> tracer_;
 
-  // ---- image server --------------------------------------------------------
-  std::unique_ptr<vfs::MemFs> image_fs_;
-  std::unique_ptr<sim::DiskModel> image_disk_;
-  std::unique_ptr<sim::CpuPool> image_cpu_;
-  std::unique_ptr<nfs::NfsServer> server_;
-  std::unique_ptr<rpc::LinkChannel> server_loop_;      // server proxy -> nfsd
-  std::unique_ptr<proxy::GvfsProxy> server_proxy_;
-  std::unique_ptr<meta::ServerFileChannel> server_endpoint_;
-  // wire_compression: origin end of the compressed WAN hop (the client end
-  // is a per-node CompressChannel). Null when the toggle is off.
-  std::unique_ptr<rpc::CompressHandler> server_compress_;
-
-  // ---- origin cluster (origin_cluster topologies; replaces server_ &c.) ----
-  struct Origin;  // MemFs + disk + cpu + NfsServer + loopback + server proxy
+  // ---- origin tier ---------------------------------------------------------
+  // MemFs + disk + cpu + NfsServer + loopback + id-mapping proxy (+ the
+  // origin end of the compressed WAN hop). One entry unless origin_cluster.
+  struct Origin;
   std::vector<std::unique_ptr<Origin>> origins_;
+  // The meta/file channel, served off origin 0; declared after origins_ so
+  // it is destroyed first.
+  std::unique_ptr<meta::ServerFileChannel> server_endpoint_;
 
   // ---- shared network ------------------------------------------------------
   std::unique_ptr<sim::Link> wan_up_, wan_down_;
@@ -295,10 +306,9 @@ class Testbed {
   std::unique_ptr<proxy::CachingFileEndpoint> lan_endpoint_;
   std::unique_ptr<cache::ProxyDiskCache> lan_block_cache_;
   // wire_compression with a LAN tier: the WAN hop is the L2 -> origin
-  // tunnel, so the compression pair straddles it here instead of the nodes'
-  // LAN tunnels (handler before the tunnel that targets it; channel after).
-  std::unique_ptr<rpc::CompressHandler> lan_compress_handler_;
-  std::unique_ptr<ssh::SshTunnel> lan_to_origin_;      // L2 proxy -> server proxy
+  // tunnel, so the compression pair straddles it (origin 0's handler at the
+  // far end, this channel at the L2) instead of the nodes' LAN tunnels.
+  std::unique_ptr<ssh::SshTunnel> lan_to_origin_;      // L2 proxy -> origin 0
   std::unique_ptr<rpc::CompressChannel> lan_compress_channel_;
   std::unique_ptr<proxy::GvfsProxy> lan_proxy_;        // L2 block-cache proxy
 

@@ -509,7 +509,9 @@ Status NfsClient::remove(sim::Process& p, const std::string& path) {
 Status NfsClient::truncate(sim::Process& p, const std::string& path, u64 size) {
   p.delay(cfg_.per_op_cpu);
   GVFS_ASSIGN_OR_RETURN(Fh fh, resolve_(p, path));
-  // Discard staged pages (they must not be written back past truncation).
+  // Write staged pages back first (bytes below the new EOF are the caller's
+  // data), then discard them so none is written back past the truncation.
+  GVFS_RETURN_IF_ERROR(flush_file_(p, fh));
   pages_.discard_file(fh.key());
   auto args = std::make_shared<SetattrArgs>();
   args->fh = fh;

@@ -792,9 +792,11 @@ rpc::RpcReply GvfsProxy::handle_recall_(sim::Process& p, const rpc::RpcCall& cal
 
   // Write the file's dirty state back, then drop every cached copy: the
   // contender may write the moment our reply lands, so anything kept here
-  // would go stale silently.
+  // would go stale silently. A failed write-back keeps the file's state
+  // instead (its dirty frames may be the only copy of acked writes) so a
+  // later write-back lands it; the reply says flushed=false either way.
   res->flushed = write_back_(p, key).is_ok();
-  forget_file_(key);
+  if (res->flushed) forget_file_(key);
   held_leases_.erase(key);
   return rpc::make_reply(call, res);
 }

@@ -71,12 +71,9 @@ class FaultInjector {
 
   [[nodiscard]] const FaultConfig& config() const { return cfg_; }
 
-  // Fired on the first traffic after a crash window closes (server reboot).
-  // The single-argument overload is the legacy single-origin hook: it binds
-  // to server id 0, which every unscoped (kAllServers) window applies to.
-  void set_on_restart(std::function<void()> fn) {
-    set_on_restart(0, std::move(fn));
-  }
+  // Fired on the first traffic to `server_id` after a crash window that
+  // applies to it closes (server reboot). The single-origin topologies are
+  // server id 0, which every unscoped (kAllServers) window applies to.
   void set_on_restart(int server_id, std::function<void()> fn) {
     on_restart_[server_id] = std::move(fn);
   }

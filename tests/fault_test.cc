@@ -148,7 +148,7 @@ TEST(FaultInjector, RestartFiresOncePerCrashWindow) {
   cfg.crashes.push_back(sim::FaultWindow{50, 60});
   sim::FaultInjector inj(k, cfg);
   int reboots = 0;
-  inj.set_on_restart([&] { ++reboots; });
+  inj.set_on_restart(0, [&] { ++reboots; });
   inj.fire_restarts_due(15);  // window still open
   EXPECT_EQ(reboots, 0);
   inj.fire_restarts_due(25);
@@ -190,14 +190,14 @@ TEST(FaultInjector, PerServerWindowsAndRestartCallbacks) {
   EXPECT_EQ(inj.restarts_fired(), 3u);
 }
 
-TEST(FaultInjector, LegacySingleArgRestartTargetsServerZero) {
+TEST(FaultInjector, UnscopedCrashRestartsServerZeroCallback) {
   sim::SimKernel k;
   sim::FaultConfig cfg;
   cfg.crashes.push_back(sim::FaultWindow{10, 20});  // applies to all servers
   sim::FaultInjector inj(k, cfg);
   int reboots = 0;
-  inj.set_on_restart([&] { ++reboots; });  // legacy overload: server 0
-  inj.fire_restarts_due(25);               // default server id 0
+  inj.set_on_restart(0, [&] { ++reboots; });  // the single-origin hook
+  inj.fire_restarts_due(25);                  // default server id 0
   EXPECT_EQ(reboots, 1);
   inj.fire_restarts_due(25, 1);  // no callback registered for server 1
   EXPECT_EQ(reboots, 1);
@@ -348,7 +348,7 @@ TEST(RetryChannel, ServerRebootFiresRestartCallback) {
   fcfg.crashes.push_back(sim::FaultWindow{0, kSecond});
   sim::FaultInjector inj(k, fcfg);
   bool rebooted = false;
-  inj.set_on_restart([&] { rebooted = true; });
+  inj.set_on_restart(0, [&] { rebooted = true; });
   EchoChannel echo;
   rpc::FaultyChannel faulty(echo, inj);
   rpc::RetryConfig rcfg;

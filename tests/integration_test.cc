@@ -7,6 +7,7 @@
 #include "test_util.h"
 
 #include <map>
+#include <optional>
 
 #include "gvfs/experiment.h"
 #include "gvfs/testbed.h"
@@ -356,6 +357,122 @@ TEST(Testbed, ScenarioOrderingForColdStreamRead) {
   EXPECT_LT(times[Scenario::kLan], times[Scenario::kWan]);
   // Plain NFS (8 KiB blocks, no pipelining) is the slowest of all.
   EXPECT_GT(times[Scenario::kPlainNfsWan], times[Scenario::kWan]);
+}
+
+// The registry value at `id` as a number, or nullopt when nothing
+// registered it.
+std::optional<u64> counter(Testbed& bed, const std::string& id) {
+  for (const auto& [k, v] : bed.metrics().snapshot()) {
+    if (k == id) return std::stoull(v);
+  }
+  return std::nullopt;
+}
+
+// wire_compression in each topology Testbed builds it for: the pair that
+// straddles the WAN hop carries the traffic, and the unused pairs are never
+// built. The handler end compresses READ replies, the channel end WRITE
+// payloads, so each shape reads image files and writes files back; four of
+// each put files on both shards of the cluster.
+TEST(Testbed, WireCompressionPairStraddlesTheWanHopInEveryShape) {
+  struct Shape {
+    const char* name;
+    bool l2 = false;
+    u32 origins = 0;  // 0: single origin
+    std::vector<std::string> used;
+    std::vector<std::string> unused;
+  };
+  const std::vector<Shape> shapes = {
+      {"single-origin WAN+C", false, 0, {"server_compress.", "node0.compress."},
+       {"lan_l2.compress.", "origin0.compress.", "node0.origin0.compress."}},
+      {"second_level_lan_cache", true, 0, {"server_compress.", "lan_l2.compress."},
+       {"node0.compress.", "origin0.compress."}},
+      {"2-origin cluster", false, 2,
+       {"origin0.compress.", "node0.origin0.compress.", "origin1.compress.",
+        "node0.origin1.compress."},
+       {"server_compress.", "node0.compress.", "lan_l2.compress."}},
+  };
+  constexpr int kFiles = 4;
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    auto opt = options_for(Scenario::kWanCached);
+    opt.wire_compression = true;
+    opt.second_level_lan_cache = shape.l2;
+    opt.origin_cluster = shape.origins > 0;
+    opt.origin_shards = shape.origins;
+    Testbed bed(opt);
+    std::vector<blob::BlobRef> images, written;
+    for (int i = 0; i < kFiles; ++i) {
+      images.push_back(blob::make_synthetic(11 + i, 256_KiB, 0.2, 2.0));
+      written.push_back(blob::make_synthetic(21 + i, 128_KiB, 0.2, 2.0));
+      ASSERT_OK(bed.put_image_file("/img" + std::to_string(i), images.back()));
+    }
+    bed.kernel().run_process("t", [&](sim::Process& p) {
+      ASSERT_OK(bed.mount(p));
+      auto& session = bed.image_session();
+      for (int i = 0; i < kFiles; ++i) {
+        auto back = session.read_all(p, "/img" + std::to_string(i));
+        ASSERT_OK(back);
+        EXPECT_EQ(blob::content_hash(**back), blob::content_hash(*images[i]));
+        ASSERT_OK(session.put(p, "/out" + std::to_string(i), written[i]));
+      }
+      ASSERT_OK(bed.signal_write_back(p));
+      if (bed.lan_proxy() != nullptr) ASSERT_OK(bed.lan_proxy()->signal_write_back(p));
+      bed.drop_all_caches();
+      for (int i = 0; i < kFiles; ++i) {
+        auto back = session.read_all(p, "/out" + std::to_string(i));
+        ASSERT_OK(back);
+        EXPECT_EQ(blob::content_hash(**back), blob::content_hash(*written[i]));
+      }
+    });
+    EXPECT_EQ(bed.kernel().failed_processes(), 0) << bed.kernel().failed_names_joined();
+    for (const std::string& prefix : shape.used) {
+      auto in = counter(bed, prefix + "compress_bytes_in");
+      ASSERT_TRUE(in.has_value()) << prefix;
+      EXPECT_GT(*in, 0u) << prefix;
+    }
+    for (const std::string& prefix : shape.unused) {
+      EXPECT_FALSE(counter(bed, prefix + "compress_bytes_in").has_value()) << prefix;
+    }
+  }
+}
+
+// Option combinations Testbed cannot build abort instead of silently
+// dropping the requested tier.
+TEST(TestbedDeathTest, RejectsClusterWithLanL2Cache) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (bool shared : {false, true}) {
+    auto opt = options_for(Scenario::kWanCached);
+    opt.origin_cluster = true;
+    opt.second_level_lan_cache = !shared;
+    opt.shared_l2_cache = shared;
+    EXPECT_DEATH(Testbed{opt}, "origin_cluster cannot be combined with a LAN L2 cache");
+  }
+}
+
+TEST(TestbedDeathTest, RejectsClusterWithPlainNfs) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto opt = options_for(Scenario::kPlainNfsWan);
+  opt.origin_cluster = true;
+  EXPECT_DEATH(Testbed{opt}, "origin_cluster needs the GVFS proxy");
+}
+
+TEST(TestbedDeathTest, RejectsWireCompressionWithPlainNfs) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto opt = options_for(Scenario::kPlainNfsWan);
+  opt.wire_compression = true;
+  EXPECT_DEATH(Testbed{opt}, "wire_compression needs a GVFS proxy");
+}
+
+TEST(Testbed, ValidateAcceptsEveryBuildableCombination) {
+  for (Scenario s : {Scenario::kLocal, Scenario::kLan, Scenario::kWan,
+                     Scenario::kWanCached, Scenario::kPlainNfsWan}) {
+    auto opt = options_for(s);
+    EXPECT_OK(opt.validate()) << scenario_name(s);
+    if (s == Scenario::kPlainNfsWan) continue;
+    opt.wire_compression = true;
+    opt.origin_cluster = true;
+    EXPECT_OK(opt.validate()) << scenario_name(s);
+  }
 }
 
 }  // namespace

@@ -525,15 +525,17 @@ TEST(AsyncWriteback, HonestCommitFlushesStagedBlocksWhenAbsorptionOff) {
             blob::content_hash(*content));
 }
 
-// Answers the next UNSTABLE WRITE with NFS3ERR_IO instead of forwarding it.
+// Answers the next UNSTABLE WRITE (any WRITE with unstable_only off) with
+// NFS3ERR_IO instead of forwarding it.
 struct FailOneFlushWriteChannel final : rpc::RpcChannel {
   explicit FailOneFlushWriteChannel(rpc::RpcChannel& in) : inner(in) {}
   rpc::RpcChannel& inner;
   bool armed = false;
+  bool unstable_only = true;
   rpc::RpcReply call(sim::Process& p, const rpc::RpcCall& c) override {
     if (armed && c.proc == static_cast<u32>(nfs::Proc::kWrite)) {
       auto a = rpc::message_cast<nfs::WriteArgs>(c.args);
-      if (a && a->stable == nfs::StableHow::kUnstable) {
+      if (a && (!unstable_only || a->stable == nfs::StableHow::kUnstable)) {
         armed = false;
         auto res = std::make_shared<nfs::WriteRes>();
         res->status = nfs::NfsStat::kIo;
@@ -588,6 +590,25 @@ TEST(Proxy, TruncateWritesBackAckedBytesBelowNewEof) {
     ASSERT_OK(f.client.write(p, "/f", 0, content));
     ASSERT_OK(f.client.flush(p));
     ASSERT_OK(f.client.truncate(p, "/f", 64_KiB));
+    ASSERT_OK(f.client_proxy.signal_write_back(p));
+  });
+  auto server = *f.server_fs.get_file("/exports/f");
+  ASSERT_EQ(server->size(), 64_KiB);
+  EXPECT_EQ(blob::range_hash(*server, 0, 32_KiB), blob::content_hash(*content));
+  EXPECT_TRUE(server->is_zero_range(32_KiB, 32_KiB));
+}
+
+// The NFS client's truncate used to discard its staged pages before the
+// SETATTR, including the ones below the new EOF: the written bytes never
+// left the client.
+TEST(Proxy, ClientTruncateWritesBackStagedPagesBelowNewEof) {
+  ProxyFixture f;
+  ASSERT_TRUE(f.server_fs.put_file("/exports/f", blob::make_zero(0)).is_ok());
+  auto content = blob::make_synthetic(31, 32_KiB, 0, 2.0);
+  f.run([&](sim::Process& p) {
+    ASSERT_OK(f.client.write(p, "/f", 0, content));  // staged, not flushed
+    ASSERT_OK(f.client.truncate(p, "/f", 64_KiB));
+    ASSERT_OK(f.client.flush(p));
     ASSERT_OK(f.client_proxy.signal_write_back(p));
   });
   auto server = *f.server_fs.get_file("/exports/f");
@@ -664,6 +685,18 @@ TEST(Proxy, WriteBackDropsRemovedFileAndLandsTheRest) {
   }
 }
 
+// A lease RECALL callback for `fh`, as the origin sends it.
+rpc::RpcCall recall_call(const nfs::Fh& fh) {
+  rpc::RpcCall recall;
+  recall.prog = nfs::kLeaseCallbackProgram;
+  recall.vers = nfs::kLeaseCallbackVersion;
+  recall.proc = static_cast<u32>(nfs::CallbackProc::kRecall);
+  auto args = std::make_shared<nfs::RecallArgs>();
+  args->fh = fh;
+  recall.args = args;
+  return recall;
+}
+
 // A lease recall of one file used to upload every dirty whole-file copy.
 TEST(Proxy, RecallUploadsOnlyTheRecalledFilesCopy) {
   ProxyFixture f;
@@ -690,14 +723,7 @@ TEST(Proxy, RecallUploadsOnlyTheRecalledFilesCopy) {
     ASSERT_TRUE(f.file_cache.contains(a.key()) && f.file_cache.contains(b.key()));
     const u64 uploads = f.channel.uploads();
 
-    rpc::RpcCall recall;
-    recall.prog = nfs::kLeaseCallbackProgram;
-    recall.vers = nfs::kLeaseCallbackVersion;
-    recall.proc = static_cast<u32>(nfs::CallbackProc::kRecall);
-    auto args = std::make_shared<nfs::RecallArgs>();
-    args->fh = a;
-    recall.args = args;
-    rpc::RpcReply reply = f.client_proxy.handle(p, recall);
+    rpc::RpcReply reply = f.client_proxy.handle(p, recall_call(a));
     ASSERT_OK(reply.status);
     auto res = rpc::message_cast<nfs::RecallRes>(reply.result);
     ASSERT_TRUE(res);
@@ -706,6 +732,41 @@ TEST(Proxy, RecallUploadsOnlyTheRecalledFilesCopy) {
     EXPECT_FALSE(f.file_cache.contains(a.key()));
     EXPECT_TRUE(f.file_cache.contains(b.key()));
   });
+}
+
+// A recall whose write-back failed used to forget the file anyway: in
+// synchronous write-back mode its dirty frames were the only copy of the
+// acked bytes, so they were lost.
+TEST(Proxy, FailedRecallWriteBackKeepsDirtyBlocksForALaterWriteBack) {
+  ProxyFixture f;
+  FailOneFlushWriteChannel flaky(f.tunnel);
+  flaky.unstable_only = false;  // sync write-back sends FILE_SYNC WRITEs
+  cache::ProxyDiskCache cache(f.client_disk, ProxyFixture::small_cache_cfg());
+  GvfsProxy proxy(ProxyFixture::make_client_proxy_cfg(), flaky);
+  proxy.attach_block_cache(cache);
+  rpc::LinkChannel loop(proxy, nullptr, nullptr, 15 * kMicrosecond);
+  nfs::NfsClient client(loop, ProxyFixture::make_cred(), ProxyFixture::make_client_cfg());
+
+  auto content = blob::make_synthetic(32, 64_KiB, 0, 2.0);
+  auto id = f.server_fs.put_file("/exports/f", blob::make_zero(64_KiB));
+  ASSERT_TRUE(id.is_ok());
+  f.kernel.run_process("t", [&](sim::Process& p) {
+    ASSERT_OK(client.mount(p, "/exports"));
+    ASSERT_OK(client.write(p, "/f", 0, content));
+    ASSERT_OK(client.flush(p));
+    ASSERT_GT(cache.dirty_blocks(), 0u);
+    flaky.armed = true;
+    rpc::RpcReply reply = proxy.handle(p, recall_call(f.server.fh_of(*id)));
+    ASSERT_OK(reply.status);
+    auto res = rpc::message_cast<nfs::RecallRes>(reply.result);
+    ASSERT_TRUE(res);
+    EXPECT_FALSE(res->flushed);
+    ASSERT_OK(proxy.signal_write_back(p));
+    EXPECT_EQ(cache.dirty_blocks(), 0u);
+  });
+  EXPECT_EQ(f.kernel.failed_processes(), 0) << f.kernel.failed_names_joined();
+  EXPECT_EQ(blob::content_hash(**f.server_fs.get_file("/exports/f")),
+            blob::content_hash(*content));
 }
 
 TEST(SingleFlight, ConcurrentSameBlockMissesShareOneUpstreamFetch) {

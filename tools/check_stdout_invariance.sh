@@ -12,10 +12,18 @@
 # static version of this gate). bench_micro is excluded by design: it
 # prints host wall-clock timings.
 #
+# Each bench also writes BENCH_<name>.json into its cwd (a temp dir here,
+# so the committed reports at the repo root are never overwritten). Its
+# "simulated" and "metrics" sections must equal the committed report's: a
+# renamed or dropped registry id changes no stdout, only the metrics.
+# A missing or empty "metrics" section fails too.
+#
 # Usage: tools/check_stdout_invariance.sh [build-dir]
-#   Builds the bench binaries if needed, runs each twice, diffs, hashes.
+#   Builds the bench binaries if needed, runs each twice, diffs, hashes,
+#   and compares the JSON sections. Runs from any cwd.
 #   --update rewrites tools/golden_stdout.sha256 from the current binaries
-#   (use only when a PR intentionally changes simulated results).
+#   (use only when a change intentionally alters simulated results; refresh
+#   the committed BENCH_*.json reports in the same change).
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -24,7 +32,7 @@ if [[ "${1:-}" == "--update" ]]; then
   update=1
   shift
 fi
-build_dir="${1:-$repo_root/build}"
+build_dir="$(realpath -m "${1:-$repo_root/build}")"
 golden="$repo_root/tools/golden_stdout.sha256"
 
 benches=(ablate_cache ablate_cascade ablate_meta ablate_prefetch
@@ -43,8 +51,8 @@ fail=0
 new_golden=""
 for name in "${benches[@]}"; do
   bin="$build_dir/bench/bench_$name"
-  "$bin" >"$work/$name.run1" 2>/dev/null
-  "$bin" >"$work/$name.run2" 2>/dev/null
+  (cd "$work" && "$bin" >"$name.run1" 2>/dev/null)
+  (cd "$work" && "$bin" >"$name.run2" 2>/dev/null)
   if ! cmp -s "$work/$name.run1" "$work/$name.run2"; then
     echo "FAIL $name: stdout differs between two runs (nondeterminism)" >&2
     diff "$work/$name.run1" "$work/$name.run2" | head -20 >&2 || true
@@ -64,6 +72,23 @@ for name in "${benches[@]}"; do
   elif [[ "$got" != "$want" ]]; then
     echo "FAIL $name: stdout hash $got != golden $want" >&2
     fail=1
+  elif ! python3 - "$work/BENCH_$name.json" "$repo_root/BENCH_$name.json" <<'PY'
+import json, sys
+fresh_path, committed_path = sys.argv[1], sys.argv[2]
+with open(fresh_path) as fh:
+    fresh = json.load(fh)
+with open(committed_path) as fh:
+    committed = json.load(fh)
+metrics = fresh.get("metrics")
+if not isinstance(metrics, dict) or not metrics:
+    sys.exit(f"{fresh_path}: missing or empty \"metrics\" section")
+for section in ("simulated", "metrics"):
+    if fresh.get(section) != committed.get(section):
+        sys.exit(f"\"{section}\" differs from the committed {committed_path}")
+PY
+  then
+    echo "FAIL $name: BENCH_$name.json sections differ from the committed report" >&2
+    fail=1
   else
     echo "OK   $name"
   fi
@@ -79,4 +104,5 @@ if [[ "$fail" != 0 ]]; then
   echo "stdout invariance check FAILED" >&2
   exit 1
 fi
-echo "stdout invariance check passed (${#benches[@]} benches, run twice each)."
+echo "stdout invariance check passed (${#benches[@]} benches, run twice each;" \
+  "simulated + metrics sections match the committed reports)."

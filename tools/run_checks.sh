@@ -8,7 +8,9 @@
 #                        and the committed may-yield-model golden diff
 #   2. stdout invariance 16 simulated benches run twice each; stdout must be
 #                        byte-identical run-to-run and match the committed
-#                        tools/golden_stdout.sha256
+#                        tools/golden_stdout.sha256, and each report's
+#                        simulated + metrics sections the committed
+#                        BENCH_*.json
 #   3. ASan/UBSan        full test suite (incl. ctest -L faults) under
 #                        AddressSanitizer + UndefinedBehaviorSanitizer
 #   4. TSan              full test suite under ThreadSanitizer; the sim runs
