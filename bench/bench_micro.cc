@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the GVFS
-// implementation itself: XDR codecs, proxy cache indexing, extent store
-// operations, synthetic content generation and hashing.
+// implementation itself: XDR codecs, proxy cache indexing, the kernel
+// page-cache model, extent store operations, synthetic content generation
+// and hashing.
 //
 // Every benchmark pins its iteration count (->Iterations): adaptive timing
 // would re-derive the count from each machine's speed, making the
@@ -17,6 +18,7 @@
 #include "common/rng.h"
 #include "nfs/nfs_types.h"
 #include "sim/kernel.h"
+#include "vfs/buffer_cache.h"
 #include "xdr/xdr.h"
 
 namespace gvfs {
@@ -196,6 +198,55 @@ BENCHMARK(BM_CacheInvalidateFile)
     ->Arg(16)
     ->Arg(256)
     ->Arg(4096)
+    ->Iterations(2000);
+
+// Kernel page-cache model at capacity: every insert evicts the LRU page.
+// Slots and index cells are reused, so the steady state allocates nothing
+// (allocs/iter reads 0).
+void BM_BufferCacheInsertEvict(benchmark::State& state) {
+  constexpr u64 kPages = 4096;
+  constexpr u64 kFiles = 16;
+  sim::SimKernel kernel;
+  vfs::BufferCache cache(kPages * 4_KiB, 4_KiB);
+  auto page = blob::zero_ref(4_KiB);
+  kernel.run_process("bench", [&](sim::Process& p) {
+    u64 n = 0;
+    for (; n < kPages; ++n) cache.insert(p, 1 + n % kFiles, n / kFiles, page, false);
+    AllocProbe probe;
+    for (auto _ : state) {
+      cache.insert(p, 1 + n % kFiles, n / kFiles, page, false);
+      ++n;
+    }
+    probe.finish(state);
+  });
+  bench::require_no_failed_processes(kernel, "BM_BufferCacheInsertEvict");
+}
+BENCHMARK(BM_BufferCacheInsertEvict)->Iterations(1000000);
+
+// flush(file) of one file's 64 dirty pages with Arg pages resident in all:
+// the cost must scale with the file's pages, not with the resident set.
+void BM_BufferCacheFlush(benchmark::State& state) {
+  constexpr u64 kDirty = 64;
+  const u64 resident = static_cast<u64>(state.range(0));
+  sim::SimKernel kernel;
+  vfs::BufferCache cache(2 * resident * 4_KiB, 4_KiB);
+  auto page = blob::zero_ref(4_KiB);
+  kernel.run_process("bench", [&](sim::Process& p) {
+    for (u64 n = 0; n < resident - kDirty; ++n) cache.insert(p, 2 + n % 64, n / 64, page, false);
+    for (auto _ : state) {
+      state.PauseTiming();
+      for (u64 pg = 0; pg < kDirty; ++pg) cache.insert(p, 1, pg, page, true);
+      state.ResumeTiming();
+      benchmark::DoNotOptimize(cache.flush(p, 1));
+    }
+  });
+  bench::require_no_failed_processes(kernel, "BM_BufferCacheFlush");
+  state.counters["resident"] = static_cast<double>(resident);
+}
+BENCHMARK(BM_BufferCacheFlush)
+    ->Arg(1 << 10)
+    ->Arg(16 << 10)
+    ->Arg(128 << 10)
     ->Iterations(2000);
 
 void BM_ExtentStoreWrite(benchmark::State& state) {

@@ -103,6 +103,11 @@ Status TestbedOptions::validate() const {
                "origin_cluster cannot be combined with a LAN L2 cache "
                "(second_level_lan_cache / shared_l2_cache)");
   }
+  if ((second_level_lan_cache || shared_l2_cache) && scenario != Scenario::kWanCached) {
+    return err(ErrCode::kInval,
+               "a LAN L2 cache (second_level_lan_cache / shared_l2_cache) needs "
+               "kWanCached; only cached nodes route through it");
+  }
   if (origin_cluster && scenario == Scenario::kPlainNfsWan) {
     return err(ErrCode::kInval,
                "origin_cluster needs the GVFS proxy's ShardRouter; kPlainNfsWan has none");

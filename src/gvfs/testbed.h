@@ -58,7 +58,9 @@ struct TestbedOptions {
   bool second_level_lan_cache = false;  // WAN-S3: LAN server caches for the cluster
   // Shared read-only L2 block cache for cloning clusters: same topology as
   // second_level_lan_cache, but the L2 proxy coalesces concurrent same-block
-  // misses (single-flight) so N cloning nodes fetch each block once.
+  // misses (single-flight) so N cloning nodes fetch each block once. Both
+  // L2 options need kWanCached: only cached nodes route through the L2
+  // (validate()).
   bool shared_l2_cache = false;
   // Client proxies batch dirty-block write-back: pipelined UNSTABLE WRITE
   // bursts + one COMMIT per file via a background flusher, instead of one

@@ -402,33 +402,34 @@ Status NfsClient::flush_file_(sim::Process& p, const Fh& fh) {
     u64 run_limit = (run_first / pages_per_wsize + 1) * pages_per_wsize;
     blob::ExtentStore run;
     u64 run_len = 0;
-    std::vector<u64> run_pages;
-    while (i < dirty.size() && dirty[i].first == run_first + run_pages.size() &&
+    std::size_t run_begin = i;
+    while (i < dirty.size() && dirty[i].first == run_first + (i - run_begin) &&
            dirty[i].first < run_limit && run_len + cfg_.page_size <= cfg_.wsize) {
       const blob::BlobRef& d = dirty[i].second;
       u64 n = d ? d->size() : 0;
       if (n > 0) run.write_blob(run_len, d, 0, n);
       run_len += n;
-      run_pages.push_back(dirty[i].first);
       ++i;
       if (n < cfg_.page_size) break;  // short (EOF) page ends the run
     }
-    if (run_len == 0) {
-      for (u64 pg : run_pages) pages_.mark_clean(key, pg);
-      continue;
+    if (run_len > 0) {
+      auto args = std::make_shared<WriteArgs>();
+      args->fh = fh;
+      args->offset = run_first * cfg_.page_size;
+      args->count = static_cast<u32>(run_len);
+      args->stable = StableHow::kUnstable;
+      args->data = run.snapshot();
+      bytes_written_wire_.inc(run_len);
+      GVFS_ASSIGN_OR_RETURN(auto res, call_as_<WriteRes>(p, Proc::kWrite, args));
+      if (res->status != NfsStat::kOk) return err(res->status, "write");
+      if (res->attr.attr) cache_attr_(fh, *res->attr.attr, p);
+      flushed += run_len;
     }
-    auto args = std::make_shared<WriteArgs>();
-    args->fh = fh;
-    args->offset = run_first * cfg_.page_size;
-    args->count = static_cast<u32>(run_len);
-    args->stable = StableHow::kUnstable;
-    args->data = run.snapshot();
-    bytes_written_wire_.inc(run_len);
-    GVFS_ASSIGN_OR_RETURN(auto res, call_as_<WriteRes>(p, Proc::kWrite, args));
-    if (res->status != NfsStat::kOk) return err(res->status, "write");
-    if (res->attr.attr) cache_attr_(fh, *res->attr.attr, p);
-    for (u64 pg : run_pages) pages_.mark_clean(key, pg);
-    flushed += run_len;
+    // Clean only pages that still hold what this run wrote: a page written
+    // again while the WRITE was in flight stays dirty for the next flush.
+    for (std::size_t k = run_begin; k < i; ++k) {
+      pages_.mark_clean(key, dirty[k].first, dirty[k].second);
+    }
   }
 
   if (flushed > 0) {

@@ -449,6 +449,19 @@ TEST(TestbedDeathTest, RejectsClusterWithLanL2Cache) {
   }
 }
 
+TEST(TestbedDeathTest, RejectsLanL2CacheWithoutProxyCaches) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (Scenario s : {Scenario::kLocal, Scenario::kLan, Scenario::kWan,
+                     Scenario::kPlainNfsWan}) {
+    for (bool shared : {false, true}) {
+      auto opt = options_for(s);
+      opt.second_level_lan_cache = !shared;
+      opt.shared_l2_cache = shared;
+      EXPECT_DEATH(Testbed{opt}, "a LAN L2 cache .* needs kWanCached") << scenario_name(s);
+    }
+  }
+}
+
 TEST(TestbedDeathTest, RejectsClusterWithPlainNfs) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   auto opt = options_for(Scenario::kPlainNfsWan);

@@ -334,5 +334,39 @@ TEST(NfsClientServer, WanLatencyDominatesColdReads) {
   EXPECT_LT(to_seconds(elapsed), 30.0);
 }
 
+TEST(NfsClientServer, FlushKeepsPageWrittenDuringItsWrite) {
+  // A page written again while the flush's WRITE is in flight must stay
+  // dirty and reach the server with the next flush.
+  sim::SimKernel kernel;
+  vfs::MemFs fs;
+  sim::DiskModel disk{kernel, "d", sim::DiskConfig{}};
+  NfsServer server{kernel, fs, disk, NfsServerConfig{}};
+  ASSERT_TRUE(server.add_export("/exports").is_ok());
+  rpc::LinkChannel ch(server, nullptr, nullptr, 1 * kMillisecond);
+  NfsClient client(ch, rpc::Credential{}, NfsClientConfig{});
+  auto first = blob::make_synthetic(1, 4_KiB, 0.0, 2.0);
+  auto second = blob::make_synthetic(2, 4_KiB, 0.0, 2.0);
+  bool rewritten = false;
+  kernel.run_process("t", [&](sim::Process& p) {
+    ASSERT_OK(client.mount(p, "/exports"));
+    ASSERT_OK(client.create(p, "/f"));
+    ASSERT_OK(client.write(p, "/f", 0, first));
+    // Lands after the WRITE left (40 us of client CPU) and before it returns.
+    kernel.spawn("rewrite", [&](sim::Process& q) {
+      EXPECT_OK(client.write(q, "/f", 0, second));
+      rewritten = true;
+    }, 100 * kMicrosecond);
+    ASSERT_OK(client.flush(p));
+    EXPECT_TRUE(rewritten);
+    EXPECT_EQ(client.page_cache().dirty_pages(), 1u);
+    ASSERT_OK(client.flush(p));
+    EXPECT_EQ(client.page_cache().dirty_pages(), 0u);
+  });
+  EXPECT_EQ(kernel.failed_processes(), 0) << kernel.failed_names_joined();
+  auto server_side = fs.get_file("/exports/f");
+  ASSERT_TRUE(server_side.is_ok());
+  EXPECT_EQ(blob::content_hash(**server_side), blob::content_hash(*second));
+}
+
 }  // namespace
 }  // namespace gvfs::nfs

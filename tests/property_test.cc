@@ -5,11 +5,15 @@
 
 #include "test_util.h"
 
+#include <list>
 #include <map>
+#include <optional>
+#include <unordered_map>
 
 #include "blob/blob.h"
 #include "common/rng.h"
 #include "gvfs/testbed.h"
+#include "vfs/buffer_cache.h"
 #include "vfs/local_session.h"
 #include "vm/vm_cloner.h"
 #include "vm/vm_image.h"
@@ -880,6 +884,288 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.policy == cache::WritePolicy::kWriteBack ? "wb"
                                                                              : "wt") +
              std::to_string(info.param.seed);
+    });
+
+
+// ------------------------------------------------------ BufferCache index --
+//
+// Reference model: the list + hash-map page cache that vfs::BufferCache
+// replaced (one std::list node per page for the LRU, one unordered_map node
+// per page for lookup, whole-LRU walks for every per-file operation). The
+// slot store must reproduce its results, victims, write-back order and
+// counters op for op.
+
+using BcWbEvent = std::tuple<u64, u64, const blob::Blob*>;
+
+class RefBufferCache {
+ public:
+  explicit RefBufferCache(u64 capacity_pages) : capacity_pages_(capacity_pages) {}
+
+  std::optional<blob::BlobRef> lookup(u64 file, u64 page) {
+    auto it = map_.find(Key{file, page});
+    if (it == map_.end()) {
+      ++misses;
+      return std::nullopt;
+    }
+    ++hits;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->data;
+  }
+
+  void insert(u64 file, u64 page, blob::BlobRef data, bool dirty) {
+    Key key{file, page};
+    auto it = map_.find(key);
+    if (it != map_.end()) {
+      if (it->second->dirty && !dirty) {
+        lru_.splice(lru_.begin(), lru_, it->second);
+        return;
+      }
+      if (dirty && !it->second->dirty) ++dirty_pages;
+      it->second->data = std::move(data);
+      it->second->dirty = dirty;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return;
+    }
+    while (map_.size() >= capacity_pages_) evict_one_();
+    lru_.push_front(Entry{key, std::move(data), dirty});
+    map_.emplace(key, lru_.begin());
+    if (dirty) ++dirty_pages;
+  }
+
+  void mark_clean(u64 file, u64 page) {
+    auto it = map_.find(Key{file, page});
+    if (it != map_.end() && it->second->dirty) {
+      it->second->dirty = false;
+      --dirty_pages;
+    }
+  }
+
+  u64 flush(u64 file) {
+    std::vector<std::pair<Key, blob::BlobRef>> dirty;
+    for (const Entry& e : lru_) {
+      if (e.dirty && (file == 0 || e.key.file == file)) dirty.emplace_back(e.key, e.data);
+    }
+    std::sort(dirty.begin(), dirty.end(), [](const auto& a, const auto& b) {
+      return a.first.file != b.first.file ? a.first.file < b.first.file
+                                          : a.first.page < b.first.page;
+    });
+    for (auto& [key, data] : dirty) {
+      log.emplace_back(key.file, key.page, data.get());
+      mark_clean(key.file, key.page);
+    }
+    return dirty.size();
+  }
+
+  void invalidate_file(u64 file) {
+    flush(file);
+    for (auto it = lru_.begin(); it != lru_.end();) {
+      if (it->key.file == file) {
+        map_.erase(it->key);
+        it = lru_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  void discard_file(u64 file) {
+    for (auto it = lru_.begin(); it != lru_.end();) {
+      if (it->key.file == file) {
+        if (it->dirty) --dirty_pages;
+        map_.erase(it->key);
+        it = lru_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+
+  [[nodiscard]] std::vector<u64> dirty_files() const {
+    std::vector<u64> out;
+    for (const Entry& e : lru_) {
+      if (e.dirty && std::find(out.begin(), out.end(), e.key.file) == out.end()) {
+        out.push_back(e.key.file);
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  void drop_all() {
+    lru_.clear();
+    map_.clear();
+    dirty_pages = 0;
+  }
+
+  [[nodiscard]] std::vector<std::pair<u64, blob::BlobRef>> dirty_pages_of(u64 file) const {
+    std::vector<std::pair<u64, blob::BlobRef>> out;
+    for (const Entry& e : lru_) {
+      if (e.dirty && e.key.file == file) out.emplace_back(e.key.page, e.data);
+    }
+    std::sort(out.begin(), out.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    return out;
+  }
+
+  [[nodiscard]] bool contains(u64 file, u64 page) const {
+    return map_.count(Key{file, page}) != 0;
+  }
+  [[nodiscard]] u64 resident() const { return map_.size(); }
+
+  u64 hits = 0, misses = 0, evictions = 0, dirty_pages = 0;
+  std::vector<BcWbEvent> log;
+
+ private:
+  struct Key {
+    u64 file;
+    u64 page;
+    bool operator==(const Key& o) const { return file == o.file && page == o.page; }
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const {
+      return static_cast<std::size_t>(hash_combine(k.file, k.page));
+    }
+  };
+  struct Entry {
+    Key key;
+    blob::BlobRef data;
+    bool dirty = false;
+  };
+
+  void evict_one_() {
+    Entry& victim = lru_.back();
+    if (victim.dirty) {
+      log.emplace_back(victim.key.file, victim.key.page, victim.data.get());
+      --dirty_pages;
+    }
+    ++evictions;
+    map_.erase(victim.key);
+    lru_.pop_back();
+  }
+
+  u64 capacity_pages_;
+  std::list<Entry> lru_;
+  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> map_;
+};
+
+struct BcParam {
+  u64 seed;
+  u64 capacity_pages;
+};
+
+class BufferCacheEquivalence : public ::testing::TestWithParam<BcParam> {};
+
+TEST_P(BufferCacheEquivalence, RandomOpsMatchListAndMapReference) {
+  BcParam param = GetParam();
+  constexpr u32 kPage = 4_KiB;
+  sim::SimKernel kernel;
+  vfs::BufferCache cache(param.capacity_pages * kPage, kPage);
+  std::vector<BcWbEvent> real_log;
+  cache.set_writeback([&](sim::Process&, u64 file, u64 page, const blob::BlobRef& data) {
+    real_log.emplace_back(file, page, data.get());
+  });
+  RefBufferCache ref(param.capacity_pages);
+
+  auto same_pages = [](const std::vector<std::pair<u64, blob::BlobRef>>& a,
+                       const std::vector<std::pair<u64, blob::BlobRef>>& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      if (a[i].first != b[i].first || a[i].second != b[i].second) return false;
+    }
+    return true;
+  };
+
+  constexpr u64 kFiles = 7;
+  constexpr u64 kPages = 48;
+  kernel.run_process("replay", [&](sim::Process& p) {
+    SplitMix64 rng(param.seed);
+    for (int op = 0; op < 6000; ++op) {
+      u64 file = 1 + rng.next_below(kFiles);
+      u64 page = rng.next_below(kPages);
+      switch (rng.next_below(16)) {
+        case 0:
+        case 1:
+        case 2:
+        case 3:
+        case 4: {  // insert, clean or dirty
+          bool dirty = rng.next_below(2) == 0;
+          blob::BlobRef data = blob::make_zero(1 + rng.next_below(kPage));
+          cache.insert(p, file, page, data, dirty);
+          ref.insert(file, page, data, dirty);
+          break;
+        }
+        case 5:
+        case 6:
+        case 7: {  // lookup: same hit and the very same data
+          auto got = cache.lookup(file, page);
+          auto want = ref.lookup(file, page);
+          ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
+          if (got) {
+            EXPECT_EQ(got->get(), want->get()) << "op " << op;
+          }
+          break;
+        }
+        case 8:  // mark_clean with the data the page holds
+          for (const auto& [pg, data] : cache.dirty_pages_of(file)) {
+            if (pg == page) cache.mark_clean(file, page, data);
+          }
+          ref.mark_clean(file, page);
+          break;
+        case 9:
+          EXPECT_EQ(cache.flush(p, file), ref.flush(file)) << "op " << op;
+          break;
+        case 10:
+          if (rng.next_below(4) == 0) {
+            EXPECT_EQ(cache.flush(p), ref.flush(0)) << "op " << op;
+          }
+          break;
+        case 11:
+          cache.invalidate_file(p, file);
+          ref.invalidate_file(file);
+          break;
+        case 12:
+          cache.discard_file(file);
+          ref.discard_file(file);
+          break;
+        case 13:
+          if (rng.next_below(16) == 0) {
+            cache.drop_all();
+            ref.drop_all();
+          }
+          break;
+        case 14:
+          EXPECT_TRUE(same_pages(cache.dirty_pages_of(file), ref.dirty_pages_of(file)))
+              << "op " << op;
+          break;
+        case 15:
+          EXPECT_EQ(cache.dirty_files(), ref.dirty_files()) << "op " << op;
+          EXPECT_EQ(cache.contains(file, page), ref.contains(file, page)) << "op " << op;
+          break;
+      }
+      ASSERT_EQ(cache.hits(), ref.hits) << "op " << op;
+      ASSERT_EQ(cache.misses(), ref.misses) << "op " << op;
+      ASSERT_EQ(cache.evictions(), ref.evictions) << "op " << op;
+      ASSERT_EQ(cache.dirty_pages(), ref.dirty_pages) << "op " << op;
+      ASSERT_EQ(cache.resident_pages(), ref.resident()) << "op " << op;
+      ASSERT_EQ(real_log.size(), ref.log.size()) << "op " << op;
+    }
+    // The full write-back sequences — victims and flush order — must match.
+    for (std::size_t i = 0; i < real_log.size(); ++i) {
+      ASSERT_EQ(real_log[i], ref.log[i]) << "event " << i;
+    }
+    EXPECT_EQ(cache.flush(p), ref.flush(0));
+    EXPECT_EQ(cache.dirty_pages(), 0u);
+    EXPECT_TRUE(cache.dirty_files().empty());
+    EXPECT_EQ(real_log, ref.log);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndCapacities, BufferCacheEquivalence,
+    ::testing::Values(BcParam{21, 4}, BcParam{22, 40}, BcParam{23, 40}, BcParam{24, 400}),
+    [](const auto& info) {
+      return "seed" + std::to_string(info.param.seed) + "_cap" +
+             std::to_string(info.param.capacity_pages);
     });
 
 }  // namespace

@@ -293,6 +293,110 @@ TEST(BufferCache, DirtyFilesLists) {
   EXPECT_EQ(bc.dirty_files(), (std::vector<u64>{3, 5}));
 }
 
+// A dirty eviction's write-back yields. Another process that looks the
+// victim up meanwhile moves it to the LRU front; the eviction must still
+// remove the victim itself, not whatever page sits at the back afterwards.
+TEST(BufferCache, YieldingDirtyEvictionRemovesItsOwnVictim) {
+  sim::SimKernel k;
+  BufferCache bc(2 * 4_KiB, 4_KiB);
+  std::vector<u64> written;
+  bc.set_writeback([&](sim::Process& p, u64, u64 page, const blob::BlobRef&) {
+    written.push_back(page);
+    p.delay(10);
+  });
+  k.spawn("evictor", [&](sim::Process& p) {
+    bc.insert(p, 1, 0, bytes({1}), true);
+    bc.insert(p, 1, 1, bytes({2}), false);
+    bc.insert(p, 1, 2, bytes({3}), false);  // evicts dirty page 0, yields
+  });
+  k.spawn("reader", [&](sim::Process&) {
+    EXPECT_TRUE(bc.lookup(1, 0).has_value());  // victim, mid write-back
+  }, 1);
+  k.run();
+  EXPECT_EQ(written, (std::vector<u64>{0}));
+  EXPECT_FALSE(bc.contains(1, 0));
+  EXPECT_TRUE(bc.lookup(1, 1).has_value());
+  EXPECT_TRUE(bc.lookup(1, 2).has_value());
+  EXPECT_EQ(bc.resident_pages(), 2u);
+  EXPECT_EQ(bc.evictions(), 1u);
+  EXPECT_EQ(bc.dirty_pages(), 0u);
+}
+
+// A victim written again during its own write-back is no victim any more:
+// the eviction keeps it (dirty, with the new data) and takes the next page.
+TEST(BufferCache, YieldingDirtyEvictionKeepsPageDirtiedAgain) {
+  sim::SimKernel k;
+  BufferCache bc(2 * 4_KiB, 4_KiB);
+  std::vector<u64> written;
+  bc.set_writeback([&](sim::Process& p, u64, u64 page, const blob::BlobRef&) {
+    written.push_back(page);
+    p.delay(10);
+  });
+  k.spawn("evictor", [&](sim::Process& p) {
+    bc.insert(p, 1, 0, bytes({1}), true);
+    bc.insert(p, 1, 1, bytes({2}), false);
+    bc.insert(p, 1, 2, bytes({3}), false);
+  });
+  k.spawn("writer", [&](sim::Process& p) { bc.insert(p, 1, 0, bytes({9}), true); }, 1);
+  k.run();
+  EXPECT_EQ(written, (std::vector<u64>{0}));
+  EXPECT_FALSE(bc.contains(1, 1));
+  ASSERT_TRUE(bc.contains(1, 0));
+  EXPECT_TRUE(bc.contains(1, 2));
+  EXPECT_EQ(bc.dirty_pages(), 1u);
+  std::vector<u8> buf(1);
+  (*bc.lookup(1, 0))->read(0, buf);
+  EXPECT_EQ(buf[0], 9);
+}
+
+// A page dirtied again while flush() writes it back must stay dirty, and
+// the next flush must write the newer data.
+TEST(BufferCache, FlushKeepsPageDirtiedDuringItsWriteback) {
+  sim::SimKernel k;
+  BufferCache bc(64_KiB, 4_KiB);
+  std::vector<u8> written;
+  bc.set_writeback([&](sim::Process& p, u64, u64, const blob::BlobRef& data) {
+    std::vector<u8> buf(1);
+    data->read(0, buf);
+    written.push_back(buf[0]);
+    p.delay(10);
+  });
+  k.spawn("flusher", [&](sim::Process& p) {
+    bc.insert(p, 1, 0, bytes({1}), true);
+    EXPECT_EQ(bc.flush(p, 1), 1u);
+  });
+  k.spawn("writer", [&](sim::Process& p) { bc.insert(p, 1, 0, bytes({2}), true); }, 1);
+  k.run();
+  EXPECT_EQ(bc.dirty_pages(), 1u);
+  EXPECT_EQ(bc.dirty_files(), (std::vector<u64>{1}));
+  k.run_process("again", [&](sim::Process& p) { EXPECT_EQ(bc.flush(p), 1u); });
+  EXPECT_EQ(written, (std::vector<u8>{1, 2}));
+  EXPECT_EQ(bc.dirty_pages(), 0u);
+}
+
+// invalidate_file must not drop a page dirtied during its write-back.
+TEST(BufferCache, InvalidateWritesPageDirtiedDuringItsWriteback) {
+  sim::SimKernel k;
+  BufferCache bc(64_KiB, 4_KiB);
+  std::vector<u8> written;
+  bc.set_writeback([&](sim::Process& p, u64, u64, const blob::BlobRef& data) {
+    std::vector<u8> buf(1);
+    data->read(0, buf);
+    written.push_back(buf[0]);
+    p.delay(10);
+  });
+  k.spawn("invalidator", [&](sim::Process& p) {
+    bc.insert(p, 1, 0, bytes({1}), true);
+    bc.invalidate_file(p, 1);
+  });
+  k.spawn("writer", [&](sim::Process& p) { bc.insert(p, 1, 0, bytes({2}), true); }, 1);
+  k.run();
+  EXPECT_EQ(written, (std::vector<u8>{1, 2}));
+  EXPECT_FALSE(bc.contains(1, 0));
+  EXPECT_EQ(bc.resident_pages(), 0u);
+  EXPECT_EQ(bc.dirty_pages(), 0u);
+}
+
 // --------------------------------------------------------- LocalFsSession --
 
 struct LocalFixture {

@@ -198,6 +198,10 @@ int main(int argc, char** argv) {
   opt.file_channel_streams = o.streams;
   opt.second_level_lan_cache = o.lan_l2;
   opt.enable_meta = o.meta;
+  if (Status st = opt.validate(); !st.is_ok()) {
+    std::fprintf(stderr, "%s\n", st.to_string().c_str());
+    return 2;
+  }
   core::Testbed bed(opt);
   std::printf("scenario %s, workload %s\n", core::scenario_name(*scenario),
               o.workload.c_str());
